@@ -137,8 +137,11 @@ type Coord struct {
 // Compiled is a mapping validated once, with the per-field shifts and masks
 // precomputed, so the per-record Decode/Encode on the trace-replay hot path
 // costs a handful of shift/mask operations and no validation branches. It is
-// a plain value (no pointer, no allocation); build one with Compile or
-// MustCompile and reuse it.
+// a plain value (no allocation); build one with Compile or MustCompile and
+// reuse it. The per-record methods (InRange, Decode, Route, Encode) take a
+// pointer receiver so a call never copies the struct; hold the Compiled in a
+// variable or field to call them. The geometry accessors take a value and
+// work on any Compiled, including MustCompile's result.
 type Compiled struct {
 	m Mapping
 
@@ -208,10 +211,10 @@ func (c Compiled) AddrBits() int {
 // InRange reports whether addr is representable under the mapping (no bits
 // above the mapped width). Decode masks such bits off; strict consumers (the
 // trace decoder) reject the address instead.
-func (c Compiled) InRange(addr uint64) bool { return addr&^c.addrMask == 0 }
+func (c *Compiled) InRange(addr uint64) bool { return addr&^c.addrMask == 0 }
 
 // Decode splits addr into coordinates: the allocation-free hot path.
-func (c Compiled) Decode(addr uint64) Coord {
+func (c *Compiled) Decode(addr uint64) Coord {
 	row := (addr >> c.rowShift) & c.rowMask
 	return Coord{
 		Column:  int(addr & c.colMask),
@@ -226,7 +229,7 @@ func (c Compiled) Decode(addr uint64) Coord {
 // row — returning them in registers. The replay demux calls this once per
 // trace record; skipping the column and the Coord struct keeps the per-record
 // cost to the four shift/mask extractions it actually needs.
-func (c Compiled) Route(addr uint64) (channel, rank, bank, row int) {
+func (c *Compiled) Route(addr uint64) (channel, rank, bank, row int) {
 	r := (addr >> c.rowShift) & c.rowMask
 	return int((addr >> c.chanShift) & c.chanMask),
 		int((addr >> c.rankShift) & c.rankMask),
@@ -237,7 +240,7 @@ func (c Compiled) Route(addr uint64) (channel, rank, bank, row int) {
 // Encode is the inverse of Decode. It panics when a coordinate exceeds its
 // field width (the same construction-time misuse the uncompiled path
 // rejected).
-func (c Compiled) Encode(co Coord) uint64 {
+func (c *Compiled) Encode(co Coord) uint64 {
 	check := func(v int, mask uint64, name string) uint64 {
 		if v < 0 || uint64(v) > mask {
 			panic(fmt.Sprintf("addrmap: %s value %d exceeds mask %#x", name, v, mask))
@@ -257,13 +260,15 @@ func (c Compiled) Encode(co Coord) uint64 {
 // every call, so hot paths (the trace decoder, the replay demux) should
 // Compile once and call Compiled.Decode instead.
 func (m Mapping) Decode(addr uint64) Coord {
-	return m.MustCompile().Decode(addr)
+	c := m.MustCompile()
+	return c.Decode(addr)
 }
 
 // Encode is the inverse of Decode, with the same convenience-form caveat:
 // hot paths should hold a Compiled.
-func (m Mapping) Encode(c Coord) uint64 {
-	return m.MustCompile().Encode(c)
+func (m Mapping) Encode(co Coord) uint64 {
+	c := m.MustCompile()
+	return c.Encode(co)
 }
 
 // RowScrambler is a keyed bijection over [0, Rows) standing in for the

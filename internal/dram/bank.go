@@ -339,11 +339,9 @@ func (b *Bank) Stats() Stats { return b.stats }
 
 // Reset clears all disturbance state and statistics, keeping parameters.
 func (b *Bank) Reset() {
-	for i := range b.hammers {
-		b.hammers[i] = 0
-		b.actRun[i] = 0
-		b.flipped[i] = false
-	}
+	clear(b.hammers)
+	clear(b.actRun)
+	clear(b.flipped)
 	b.maxDisturbance = 0
 	b.maxHammers = 0
 	b.refreshCursor = 0

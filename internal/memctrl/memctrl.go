@@ -92,6 +92,9 @@ type Controller struct {
 	// the tracker is empty, whole insertion-free cadence stretches collapse
 	// to modular arithmetic (see quietCadence).
 	idm tracker.IdleMitigator
+	// w is Params.ACTsPerTREFI(), the tREFI window in demand ACTs, computed
+	// once so the per-ACT cadence check is a compare, not a divide.
+	w int
 
 	actsInTREFI         int
 	refsSinceMitigation int
@@ -108,7 +111,7 @@ func New(cfg Config, bank *dram.Bank, trk tracker.Tracker) *Controller {
 	if bank == nil || trk == nil {
 		panic("memctrl: nil bank or tracker")
 	}
-	c := &Controller{cfg: cfg, bank: bank, trk: trk}
+	c := &Controller{cfg: cfg, bank: bank, trk: trk, w: cfg.Params.ACTsPerTREFI()}
 	c.im, _ = trk.(baseline.ImmediateMitigator)
 	c.sa, _ = trk.(tracker.Advancer)
 	c.idm, _ = trk.(tracker.IdleMitigator)
@@ -169,7 +172,7 @@ func (c *Controller) ScheduledAdvancer() (tracker.ScheduledAdvancer, bool) {
 // to bound idle stretches so the tracker's schedule is re-queried after
 // every opportunity.
 func (c *Controller) ACTsToNextMitigation() int {
-	w := c.cfg.Params.ACTsPerTREFI()
+	w := c.w
 	refsNeeded := c.cfg.MitigationEveryNREF - c.refsSinceMitigation
 	n := (refsNeeded-1)*w + (w - c.actsInTREFI)
 	if c.cfg.RFMThreshold > 0 {
@@ -203,7 +206,7 @@ func (c *Controller) ActivateRun(row, n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("memctrl: ActivateRun(%d, %d)", row, n))
 	}
-	w := c.cfg.Params.ACTsPerTREFI()
+	w := c.w
 	for n > 0 {
 		// Re-checked every segment, not just at entry: a run that starts with
 		// an occupied tracker walks boundaries only until the REFs drain it,
@@ -276,7 +279,7 @@ func (c *Controller) ActivateRunGroup(rows []int, phase, n int) {
 		c.ActivateRun(rows[0], n)
 		return
 	}
-	w := c.cfg.Params.ACTsPerTREFI()
+	w := c.w
 	for n > 0 {
 		// Same mid-run collapse as ActivateRun: once the REF cadence empties
 		// the tracker, the rest of the stretch is one HammerCycle burst.
@@ -344,7 +347,7 @@ func (c *Controller) quietCadence(n int) bool {
 	if c.idm == nil || c.cfg.PeriodicRefresh || c.trk.Occupancy() != 0 || n == 0 {
 		return false
 	}
-	w := c.cfg.Params.ACTsPerTREFI()
+	w := c.w
 	if c.cfg.SelfCheck {
 		if c.actsInTREFI < 0 || c.actsInTREFI >= w {
 			guard.Failf("memctrl", "trefi-position", "quietCadence: actsInTREFI %d outside [0,%d)", c.actsInTREFI, w)
@@ -395,10 +398,10 @@ func (c *Controller) postActivate() {
 	}
 
 	c.actsInTREFI++
-	if c.cfg.SelfCheck && c.actsInTREFI > c.cfg.Params.ACTsPerTREFI() {
-		guard.Failf("memctrl", "trefi-position", "postActivate: actsInTREFI %d exceeds window %d", c.actsInTREFI, c.cfg.Params.ACTsPerTREFI())
+	if c.cfg.SelfCheck && c.actsInTREFI > c.w {
+		guard.Failf("memctrl", "trefi-position", "postActivate: actsInTREFI %d exceeds window %d", c.actsInTREFI, c.w)
 	}
-	if c.actsInTREFI >= c.cfg.Params.ACTsPerTREFI() {
+	if c.actsInTREFI >= c.w {
 		c.actsInTREFI = 0
 		c.ref()
 	}

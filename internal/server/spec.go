@@ -105,8 +105,9 @@ type ReplaySpec struct {
 	// Workload names a generator spec (workload.All); mutually exclusive
 	// with TracePath.
 	Workload string `json:"workload,omitempty"`
-	// Mapping is the address-mapping string for generated workloads, e.g.
-	// "ch1:ra1:ba3:ro12:co6" (addrmap.ParseMapping).
+	// Mapping is the address-mapping string for generated workloads, in the
+	// addrmap.Mapping.String form addrmap.ParseMapping accepts, e.g.
+	// "col=6 bank=3 row=13 rank=1 chan=2 xor=1".
 	Mapping string `json:"mapping,omitempty"`
 	// ACTs is the generated record count (generator mode only).
 	ACTs int `json:"acts,omitempty"`

@@ -94,6 +94,18 @@ func TestReplayKeyStableAcrossPrepares(t *testing.T) {
 	}
 }
 
+// TestReplaySpecDocMappingValidates pins the ReplaySpec.Mapping doc
+// comment's example: a client copying it gets a valid spec.
+func TestReplaySpecDocMappingValidates(t *testing.T) {
+	spec := Spec{Kind: "replay", Seed: 1, Replay: &ReplaySpec{
+		Workload: "lbm", Mapping: "col=6 bank=3 row=13 rank=1 chan=2 xor=1",
+		ACTs: 1000, Scheme: "PrIDE", TRH: 500,
+	}}
+	if _, err := spec.prepare(); err != nil {
+		t.Fatalf("the documented mapping example is rejected: %v", err)
+	}
+}
+
 func TestJobIDAndSeedAreDeterministic(t *testing.T) {
 	if jobID("k") != jobID("k") || jobSeed("k") != jobSeed("k") {
 		t.Fatal("jobID/jobSeed not deterministic")

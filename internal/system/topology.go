@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"pride/internal/addrmap"
 	"pride/internal/dram"
@@ -29,6 +30,11 @@ import (
 // deterministic shard-order merge. Shard state is built lazily inside each
 // shard's trial from index-derived seeds, so results are bit-identical at
 // any worker count and across repeated replays of the same source.
+//
+// From its second replay on, a topology keeps the shard-queue slabs of a
+// finished replay and hands them to the next one, so replaying on one
+// topology again and again allocates the queues once; the slabs are
+// released with the topology.
 type Topology struct {
 	cfg      TopologyConfig
 	compiled addrmap.Compiled
@@ -36,6 +42,10 @@ type Topology struct {
 	channels int
 	ranks    int
 	banks    int
+
+	mu      sync.Mutex
+	replays int       // replays that have returned their slabs
+	spare   [][]int32 // whole queue slabs no running replay holds
 }
 
 // TopologyConfig parameterizes a server topology.
@@ -302,16 +312,86 @@ func ReplayCampaignKey(cfg TopologyConfig, records uint64, crc uint32) string {
 // amortize the Source call, small enough to stay in cache.
 const demuxBatch = 4096
 
+// A shard queue is a chain of fixed-size row blocks carved on demand from
+// shared slabs. Demux appends each row to its shard's current block and
+// chains a full block instead of copying the queue to grow it, so a replay
+// allocates its rows once, plus at most one partly used block per shard and
+// the unused tail of the last slab.
+const (
+	queueBlockRows = 4 << 10   // rows per block (16 KB)
+	queueSlabRows  = 256 << 10 // rows per slab (1 MB, 64 blocks)
+)
+
+// rowQueue is one shard's demuxed row stream.
+type rowQueue struct {
+	blocks [][]int32 // filled blocks in stream order
+	tail   []int32   // block being filled; nil before the shard's first row
+}
+
+// slabArena carves one replay's queue blocks out of shared slabs: the
+// topology's spare slabs first, then new ones.
+type slabArena struct {
+	free  []int32   // uncarved rest of the current slab
+	spare [][]int32 // whole slabs not carved yet
+	used  [][]int32 // whole slabs this replay carves
+}
+
+// block returns an empty block with room for queueBlockRows rows.
+func (a *slabArena) block() []int32 {
+	if len(a.free) == 0 {
+		if n := len(a.spare); n > 0 {
+			a.free, a.spare = a.spare[n-1], a.spare[:n-1]
+		} else {
+			a.free = make([]int32, queueSlabRows)
+		}
+		a.used = append(a.used, a.free)
+	}
+	b := a.free[:0:queueBlockRows]
+	a.free = a.free[queueBlockRows:]
+	return b
+}
+
+// next chains the full tail block and starts a fresh one.
+func (q *rowQueue) next(a *slabArena) {
+	if q.tail != nil {
+		q.blocks = append(q.blocks, q.tail)
+	}
+	q.tail = a.block()
+}
+
+// takeSlabs gives a replay every spare slab of the topology.
+func (t *Topology) takeSlabs() *slabArena {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	a := &slabArena{spare: t.spare}
+	t.spare = nil
+	return a
+}
+
+// putSlabs takes back a replay's slabs once no shard reads its queue. The
+// first replay lets them go with its queues instead: a topology built for
+// one replay (one CLI run, one daemon job) must not hold them after it,
+// because a stale stack word can keep a dead topology reachable for a
+// collection and its slabs with it.
+func (t *Topology) putSlabs(a *slabArena) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.replays++
+	if t.replays > 1 {
+		t.spare = append(append(t.spare, a.used...), a.spare...)
+	}
+}
+
 // demux shards the record stream by (channel, rank, bank) into per-shard
 // row queues, fingerprinting the decoded records as it goes. The source's
 // mapping must equal the topology's — a trace recorded under one geometry
 // must not silently replay under another.
-func (t *Topology) demux(src trace.Source, sink ReplaySink) (queues [][]int32, records uint64, crc uint32, err error) {
+func (t *Topology) demux(src trace.Source, sink ReplaySink, arena *slabArena) (queues []rowQueue, records uint64, crc uint32, err error) {
 	if sm := src.Mapping(); sm != t.cfg.Mapping {
 		return nil, 0, 0, fmt.Errorf("system: trace mapping %s differs from topology mapping %s",
 			sm.String(), t.cfg.Mapping.String())
 	}
-	queues = make([][]int32, t.Shards())
+	queues = make([]rowQueue, t.Shards())
 	var (
 		batch [demuxBatch]uint64
 		le    [demuxBatch * 8]byte
@@ -320,8 +400,11 @@ func (t *Topology) demux(src trace.Source, sink ReplaySink) (queues [][]int32, r
 		n, rerr := src.ReadBatch(batch[:])
 		for i, addr := range batch[:n] {
 			channel, rank, bank, row := t.compiled.Route(addr)
-			shard := (channel*t.ranks+rank)*t.banks + bank
-			queues[shard] = append(queues[shard], int32(row))
+			q := &queues[(channel*t.ranks+rank)*t.banks+bank]
+			if len(q.tail) == cap(q.tail) {
+				q.next(arena)
+			}
+			q.tail = append(q.tail, int32(row))
 			binary.LittleEndian.PutUint64(le[i*8:], addr)
 		}
 		// One CRC pass per batch: the fingerprint is over the little-endian
@@ -333,6 +416,12 @@ func (t *Topology) demux(src trace.Source, sink ReplaySink) (queues [][]int32, r
 			sink.AddBytes(int64(n) * trace.RecordSize)
 		}
 		if rerr == io.EOF {
+			for i := range queues {
+				if q := &queues[i]; len(q.tail) > 0 {
+					q.blocks = append(q.blocks, q.tail)
+					q.tail = nil
+				}
+			}
 			return queues, records, crc, nil
 		}
 		if rerr != nil {
@@ -346,16 +435,17 @@ func (t *Topology) demux(src trace.Source, sink ReplaySink) (queues [][]int32, r
 // regardless of the source implementation.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// replayShard replays one bank's row queue from scratch: tracker, bank,
-// scrambler and stream are all built from index-derived seeds inside the
-// shard, so the result depends only on (config, shard, queue) — the
-// property that makes replay bit-identical at any worker count and across
+// replayShard replays one bank's row queue from scratch: tracker, stream,
+// controller and scrambler are built from index-derived seeds inside the
+// shard, and dbank — the calling worker's scratch bank — is reset first, so
+// the result depends only on (config, shard, queue) — the property that
+// makes replay bit-identical at any worker count, across retries and across
 // resumed campaigns.
-func (t *Topology) replayShard(shard int, rows []int32) ShardResult {
+func (t *Topology) replayShard(shard int, blocks [][]int32, dbank *dram.Bank) ShardResult {
 	channel, rank, bank := t.shardCoord(shard)
 	stream := rng.Derived(t.cfg.Seed, uint64(shard))
 	trk := t.cfg.Scheme.New(t.params, stream)
-	dbank := dram.MustNewBank(t.params, t.cfg.TRH)
+	dbank.Reset()
 	mcfg := memctrl.DefaultConfig(t.params)
 	mcfg.RFMThreshold = t.rfmThreshold(channel)
 	if t.cfg.Scheme.MitigationEveryNREF > 0 {
@@ -368,13 +458,15 @@ func (t *Topology) replayShard(shard int, rows []int32) ShardResult {
 	if t.cfg.ScrambleSeed != 0 {
 		scr = addrmap.NewRowScrambler(t.params.RowsPerBank, rng.DeriveSeed(t.cfg.ScrambleSeed, uint64(shard)))
 	}
-	if scr != nil {
-		for _, row := range rows {
-			ctrl.Activate(scr.Scramble(int(row)))
-		}
-	} else {
-		for _, row := range rows {
-			ctrl.Activate(int(row))
+	for _, rows := range blocks {
+		if scr != nil {
+			for _, row := range rows {
+				ctrl.Activate(scr.Scramble(int(row)))
+			}
+		} else {
+			for _, row := range rows {
+				ctrl.Activate(int(row))
+			}
 		}
 	}
 
@@ -415,7 +507,11 @@ func (t *Topology) Replay(src trace.Source) (ReplayResult, error) {
 // with cancellation, graceful drain, durable checkpoint/resume and progress
 // metering, the same campaign contract the TTF CLIs keep.
 func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts ReplayOptions) (ReplayResult, error) {
-	queues, records, crc, err := t.demux(src, opts.Progress)
+	arena := t.takeSlabs()
+	// Deferred: MapCheckpointedWorker returns only after its workers exit,
+	// so no shard reads the queues once ReplayCampaign returns.
+	defer t.putSlabs(arena)
+	queues, records, crc, err := t.demux(src, opts.Progress, arena)
 	if err != nil {
 		return ReplayResult{}, err
 	}
@@ -438,8 +534,15 @@ func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts Re
 		}
 	}
 	ropts := trialrunner.Options{Workers: opts.Workers, Observer: opts.Observer, Retry: opts.Retry, Faults: opts.Faults}
-	shards, err := trialrunner.MapCheckpointed(ctx, t.Shards(), func(i int) ShardResult {
-		return t.replayShard(i, queues[i])
+	// One bank per worker index, reset at each shard's start: the bank's
+	// row arrays are the only shard state that is scratch, not built from
+	// the shard index.
+	banks := make([]*dram.Bank, ropts.PoolSize(t.Shards()))
+	shards, err := trialrunner.MapCheckpointedWorker(ctx, t.Shards(), func(worker, i int) ShardResult {
+		if banks[worker] == nil {
+			banks[worker] = dram.MustNewBank(t.params, t.cfg.TRH)
+		}
+		return t.replayShard(i, queues[i].blocks, banks[worker])
 	}, onDone, ropts, cp)
 	if err != nil {
 		return ReplayResult{}, err

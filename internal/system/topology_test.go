@@ -5,10 +5,15 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pride/internal/addrmap"
 	"pride/internal/dram"
+	"pride/internal/faultinject"
+	"pride/internal/obs"
 	"pride/internal/rng"
 	"pride/internal/sim"
 	"pride/internal/trace"
@@ -371,5 +376,238 @@ func TestReplayCampaignKeyIgnoresWorkers(t *testing.T) {
 	}
 	if ReplayCampaignKey(cfg, 1001, 0xDEADBEEF) == key || ReplayCampaignKey(cfg, 1000, 0xDEADBEEE) == key {
 		t.Error("key ignores the trace fingerprint")
+	}
+}
+
+// TestReplayRetriedShardsMatchClean injects a panic into the first attempt
+// of a few shards: with a retry budget of two attempts each shard re-runs
+// on its worker's reused bank, and the replay must equal the clean one at
+// one and at two workers.
+func TestReplayRetriedShardsMatchClean(t *testing.T) {
+	top := mustTopology(t, serverConfig(t))
+	const n = 40000
+	clean, err := top.Replay(serverSource(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		inj := faultinject.New(5)
+		// Every third shard index (2 and 5 of 8) fails its first attempt.
+		inj.Arm(faultinject.SiteTrialPanic, faultinject.Trigger{Every: 3, Kind: faultinject.KindPanic})
+		camp := obs.NewCampaign("replay-retry", top.Shards(), workers)
+		res, err := top.ReplayCampaign(context.Background(), serverSource(n), ReplayOptions{
+			Workers: workers, Observer: camp, Faults: inj, Retry: trialrunner.RetryPolicy{Attempts: 2},
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := camp.Snapshot().TrialRetries; got != 2 {
+			t.Fatalf("workers=%d: %d shard retries, want 2", workers, got)
+		}
+		if !reflect.DeepEqual(res, clean) {
+			t.Fatalf("workers=%d: retried replay differs from the clean replay", workers)
+		}
+	}
+}
+
+// flakyTracker panics at its at-th activation the first time a shard's
+// row stream reaches that point, after the bank has taken the shard's
+// first at activations; a retried attempt of the same shard runs through.
+// A shard is recognised by a hash of its first at rows.
+type flakyTracker struct {
+	tracker.Tracker
+	at, acts int
+	hash     uint64
+	seen     *sync.Map
+	panics   *atomic.Int64
+}
+
+func (f *flakyTracker) OnActivate(row int) {
+	f.Tracker.OnActivate(row)
+	f.acts++
+	f.hash = f.hash*1099511628211 + uint64(row)
+	if f.acts == f.at {
+		if _, dup := f.seen.LoadOrStore(f.hash, true); !dup {
+			f.panics.Add(1)
+			panic("flaky tracker: first attempt of this shard")
+		}
+	}
+}
+
+// TestReplayMidShardPanicRetriesOnCleanBank fails every shard's first
+// attempt partway through its rows, so the retry starts on the bank the
+// failed attempt left dirty. Resetting the bank at shard start must make
+// the replay equal the clean one at one and at two workers.
+func TestReplayMidShardPanicRetriesOnCleanBank(t *testing.T) {
+	const n, at = 40000, 1000
+	cfg := serverConfig(t)
+	clean, err := mustTopology(t, cfg).Replay(serverSource(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		var (
+			seen   sync.Map
+			panics atomic.Int64
+		)
+		flaky := cfg
+		inner := cfg.Scheme.New
+		flaky.Scheme.New = func(p dram.Params, r *rng.Stream) tracker.Tracker {
+			return &flakyTracker{Tracker: inner(p, r), at: at, seen: &seen, panics: &panics}
+		}
+		res, err := mustTopology(t, flaky).ReplayCampaign(context.Background(), serverSource(n), ReplayOptions{
+			Workers: workers, Retry: trialrunner.RetryPolicy{Attempts: 2},
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if panics.Load() == 0 {
+			t.Fatalf("workers=%d: no shard reached %d activations", workers, at)
+		}
+		if !reflect.DeepEqual(res, clean) {
+			t.Fatalf("workers=%d: replay retried after %d mid-shard panics differs from the clean replay", workers, panics.Load())
+		}
+	}
+}
+
+// TestReplaySelfCheckMatchesClean replays with every bank's runtime
+// invariant guards on: a healthy replay trips nothing and its result equals
+// the unchecked one.
+func TestReplaySelfCheckMatchesClean(t *testing.T) {
+	const n = 40000
+	cfg := serverConfig(t)
+	clean, err := mustTopology(t, cfg).Replay(serverSource(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SelfCheck = true
+	checked, err := mustTopology(t, cfg).ReplayCampaign(context.Background(), serverSource(n), ReplayOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(checked, clean) {
+		t.Fatal("SelfCheck changed the replay result")
+	}
+}
+
+// TestReplayConcurrentOnOneTopology replays traces of different lengths on
+// one topology from several goroutines at once, after two replays have left
+// it spare queue slabs: replays sharing the topology's slabs must each
+// equal the same replay on a fresh topology.
+func TestReplayConcurrentOnOneTopology(t *testing.T) {
+	cfg := serverConfig(t)
+	sizes := []int{50000, 20000, 35000}
+	want := make([]ReplayResult, len(sizes))
+	for i, n := range sizes {
+		res, err := mustTopology(t, cfg).Replay(serverSource(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	top := mustTopology(t, cfg)
+	for i := 0; i < 2; i++ {
+		if _, err := top.Replay(serverSource(sizes[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < len(sizes); r++ {
+				i := (g + r) % len(sizes)
+				res, err := top.ReplayCampaign(context.Background(), serverSource(sizes[i]), ReplayOptions{Workers: 2})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res, want[i]) {
+					t.Errorf("goroutine %d: replay of %d records differs from the same replay on a fresh topology", g, sizes[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func mustTopology(t *testing.T, cfg TopologyConfig) *Topology {
+	t.Helper()
+	top, err := NewTopology(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// replayAllocs returns the bytes one serial replay of src allocates.
+func replayAllocs(t *testing.T, top *Topology, src trace.Source) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := top.ReplayCampaign(context.Background(), src, ReplayOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReplayAllocGate pins the replay data path's allocations at one
+// worker. Shard queues are block chains, so replaying 3N more records costs
+// their 4 bytes each, plus one slab and one partly used block per shard —
+// never a copy of a growing queue. A topology keeps its slabs from its
+// second replay on, and a third replay carves them again. Bank row arrays
+// are scratch of the worker, so a many-shard replay allocates them once,
+// not once per shard.
+func TestReplayAllocGate(t *testing.T) {
+	const n = 1 << 18
+	cfg := serverConfig(t)
+	records, err := trace.Drain(serverSource(4*n), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := replayAllocs(t, mustTopology(t, cfg), trace.NewSliceSource(cfg.Mapping, records[:n]))
+	top := mustTopology(t, cfg)
+	large := replayAllocs(t, top, trace.NewSliceSource(cfg.Mapping, records))
+	limit := uint64(4*3*n + 4*queueSlabRows + 4*queueBlockRows*top.Shards())
+	if large > small && large-small > limit {
+		t.Errorf("replaying %d records allocates %d B more than %d records, want <= %d (4 B per added record + one slab + one block per shard)",
+			4*n, large-small, n, limit)
+	}
+	if len(top.spare) != 0 {
+		t.Errorf("the topology kept %d slabs after its first replay, want none", len(top.spare))
+	}
+	replayAllocs(t, top, trace.NewSliceSource(cfg.Mapping, records))
+	again := replayAllocs(t, top, trace.NewSliceSource(cfg.Mapping, records))
+	if again+4*4*n > large {
+		t.Errorf("a third replay of %d records on the same topology allocates %d B, want <= %d (the first replay's %d B less their 4 B per record of queue rows)",
+			4*n, again, large-4*4*n, large)
+	}
+
+	// 32 shards of 16K rows each: a fresh bank per shard would allocate
+	// 32 banks' row arrays.
+	many := cfg
+	many.Mapping = addrmap.Mapping{ColumnBits: 0, BankBits: 5, RowBits: 14, XORBankHash: true}
+	top = mustTopology(t, many)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_ = dram.MustNewBank(top.Params(), many.TRH)
+	runtime.ReadMemStats(&after)
+	bank := after.TotalAlloc - before.TotalAlloc
+	// Every shard gets 64 rows, so every shard runs on a bank.
+	var addrs []uint64
+	comp := many.Mapping.MustCompile()
+	for i := 0; i < 64*top.Shards(); i++ {
+		addrs = append(addrs, comp.Encode(addrmap.Coord{Bank: i % top.Shards(), Row: i % 4096}))
+	}
+	got := replayAllocs(t, top, trace.NewSliceSource(many.Mapping, addrs))
+	// One bank plus the queue slab, with 8 KB of per-shard tracker and
+	// controller state to spare; a bank per shard would add 31 banks.
+	limit = bank + 4*queueSlabRows + 8<<10*uint64(top.Shards())
+	if got > limit {
+		t.Errorf("%d-shard replay at 1 worker allocates %d B, want <= %d (one %d B bank, not one per shard)",
+			top.Shards(), got, limit, bank)
 	}
 }

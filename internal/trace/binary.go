@@ -163,15 +163,30 @@ func (tr *Reader) ReadBatch(dst []uint64) (int, error) {
 				return n, err
 			}
 		}
-		addr := binary.LittleEndian.Uint64(tr.buf[tr.start:])
-		if !tr.compiled.InRange(addr) {
-			return n, fmt.Errorf("trace: record %d (byte offset %d): address %#x has bits outside the %d-bit mapping",
-				tr.read, tr.offset(), addr, tr.compiled.AddrBits())
+		// Decode every whole record the buffer holds in one tight loop,
+		// then advance the stream position once.
+		k := (tr.end - tr.start) / RecordSize
+		if k > len(dst)-n {
+			k = len(dst) - n
 		}
-		tr.start += RecordSize
-		dst[n] = addr
-		n++
-		tr.read++
+		if left := tr.count - tr.read; uint64(k) > left {
+			k = int(left)
+		}
+		out := dst[n : n+k]
+		recs := tr.buf[tr.start : tr.start+k*RecordSize]
+		for i := range out {
+			addr := binary.LittleEndian.Uint64(recs[i*RecordSize:])
+			if !tr.compiled.InRange(addr) {
+				tr.start += i * RecordSize
+				tr.read += uint64(i)
+				return n + i, fmt.Errorf("trace: record %d (byte offset %d): address %#x has bits outside the %d-bit mapping",
+					tr.read, tr.offset(), addr, tr.compiled.AddrBits())
+			}
+			out[i] = addr
+		}
+		tr.start += k * RecordSize
+		tr.read += uint64(k)
+		n += k
 	}
 	return n, nil
 }

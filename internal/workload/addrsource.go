@@ -23,10 +23,13 @@ import (
 type AddrSource struct {
 	spec     Spec
 	compiled addrmap.Compiled
-	n        int
-	emitted  int
-	r        *rng.Stream
-	cur      addrmap.Coord
+	// channels, ranks, banks and rows are the mapping's geometry, read once
+	// so a row miss draws a coordinate without re-deriving it.
+	channels, ranks, banks, rows int
+	n                            int
+	emitted                      int
+	r                            *rng.Stream
+	cur                          addrmap.Coord
 }
 
 // NewAddrSource returns a source of exactly n ACT records for spec under
@@ -39,14 +42,21 @@ func NewAddrSource(spec Spec, m addrmap.Mapping, n int, seed uint64) *AddrSource
 	if n < 0 {
 		panic(fmt.Sprintf("workload: negative record count %d", n))
 	}
-	s := &AddrSource{spec: spec, compiled: m.MustCompile(), n: n, r: rng.New(seed)}
-	s.cur = addrmap.Coord{
-		Channel: s.r.Intn(s.compiled.Channels()),
-		Rank:    s.r.Intn(s.compiled.Ranks()),
-		Bank:    s.r.Intn(s.compiled.Banks()),
-		Row:     s.r.Intn(s.compiled.Rows()),
+	c := m.MustCompile()
+	s := &AddrSource{
+		spec: spec, compiled: c, n: n, r: rng.New(seed),
+		channels: c.Channels(), ranks: c.Ranks(), banks: c.Banks(), rows: c.Rows(),
 	}
+	s.draw()
 	return s
+}
+
+// draw moves the cursor to a uniformly drawn coordinate: a row miss.
+func (s *AddrSource) draw() {
+	s.cur.Channel = s.r.Intn(s.channels)
+	s.cur.Rank = s.r.Intn(s.ranks)
+	s.cur.Bank = s.r.Intn(s.banks)
+	s.cur.Row = s.r.Intn(s.rows)
 }
 
 // Mapping implements trace.Source.
@@ -66,10 +76,7 @@ func (s *AddrSource) ReadBatch(dst []uint64) (int, error) {
 	}
 	for i := 0; i < n; i++ {
 		if !s.r.Bernoulli(s.spec.RowHitRate) {
-			s.cur.Channel = s.r.Intn(s.compiled.Channels())
-			s.cur.Rank = s.r.Intn(s.compiled.Ranks())
-			s.cur.Bank = s.r.Intn(s.compiled.Banks())
-			s.cur.Row = s.r.Intn(s.compiled.Rows())
+			s.draw()
 		}
 		dst[i] = s.compiled.Encode(s.cur)
 	}
