@@ -127,6 +127,10 @@ func engines(scale int) []engine {
 	replayMapping := addrmap.Mapping{ColumnBits: 4, BankBits: 3, RowBits: 12, RankBits: 1, ChannelBits: 2, XORBankHash: true}
 	replayRecords := scaled(400_000, scale, 4_000)
 	traceRecords := scaled(1<<21, scale, 8_192)
+	// pride-serve's 64-shard daemon mapping, the geometry of its generated
+	// replay jobs.
+	daemonMapping := addrmap.Mapping{ColumnBits: 6, BankBits: 3, RowBits: 13, RankBits: 1, ChannelBits: 2, XORBankHash: true}
+	const genBatch = 4096 // the replay demux's batch size
 
 	return []engine{
 		{
@@ -372,6 +376,29 @@ func engines(scale int) []engine {
 							break
 						}
 					}
+				}
+			},
+		},
+		{
+			name: "workload-gen", unit: "record", unitsPerOp: genBatch, guardAllocs: true,
+			bench: func(b *testing.B) {
+				// The generator behind every generated replay (each daemon
+				// replay job draws its stream at submit and again at run):
+				// one op is one demux-sized batch of lbm records under the
+				// daemon mapping, read from a source built for the whole
+				// run, so the alloc gate pins generation at zero
+				// allocations per record.
+				spec := workload.SPEC2017()[1] // lbm
+				src := workload.NewAddrSource(spec, daemonMapping, b.N*genBatch, 7)
+				batch := make([]uint64, genBatch)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n, err := src.ReadBatch(batch)
+					if n != genBatch || err != nil {
+						b.Fatalf("batch %d: %d records, %v", i, n, err)
+					}
+					sink += batch[n-1]
 				}
 			},
 		},

@@ -429,12 +429,12 @@ func TestStorageBitsHandComputed(t *testing.T) {
 	cases := []struct {
 		entries, rowBits, want int
 	}{
-		{1, 17, 1*20 + 0 + 1},  // PTR degenerate, Occ in {0,1}
-		{2, 10, 2*13 + 1 + 2},  // Occ counts 0..2: two bits
-		{3, 17, 3*20 + 2 + 2},  // non-power-of-two: Occ 0..3 fits 2 bits
-		{4, 17, 4*20 + 2 + 3},  // paper default: 85 bits, not 86
-		{5, 8, 5*11 + 3 + 3},   // Occ 0..5 fits 3 bits
-		{8, 17, 8*20 + 3 + 4},  // Occ 0..8 needs 4 bits
+		{1, 17, 1*20 + 0 + 1}, // PTR degenerate, Occ in {0,1}
+		{2, 10, 2*13 + 1 + 2}, // Occ counts 0..2: two bits
+		{3, 17, 3*20 + 2 + 2}, // non-power-of-two: Occ 0..3 fits 2 bits
+		{4, 17, 4*20 + 2 + 3}, // paper default: 85 bits, not 86
+		{5, 8, 5*11 + 3 + 3},  // Occ 0..5 fits 3 bits
+		{8, 17, 8*20 + 3 + 4}, // Occ 0..8 needs 4 bits
 		{16, 17, 16*20 + 4 + 5},
 	}
 	for _, c := range cases {

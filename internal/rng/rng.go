@@ -9,7 +9,10 @@
 // seed produce bit-identical results regardless of evaluation order.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is the minimal interface the simulators need: a stream of uniform
 // 64-bit values plus derived helpers. It deliberately mirrors a subset of
@@ -67,6 +70,25 @@ func (x *XorShift64Star) Uint64() uint64 {
 	s ^= s >> 27
 	x.state = s
 	return s * 0x2545F4914F6CDD1D
+}
+
+// BernoulliT is Stream.BernoulliT drawn straight from the generator: the
+// same decision from the same single draw. A hot loop that holds the
+// generator in a local (copy it in, draw, copy it back) keeps its state in
+// a register instead of reloading it through a Stream on every draw.
+func (x *XorShift64Star) BernoulliT(t Threshold) bool {
+	return t.fires(x.Uint64())
+}
+
+// Intn is Stream.Intn drawn straight from the generator: the same value
+// from the same draws.
+func (x *XorShift64Star) Intn(n int) int {
+	bound := intnBound(n)
+	for {
+		if v, ok := lemire(x.Uint64(), bound); ok {
+			return v
+		}
+	}
 }
 
 // PCG32 is a permuted-congruential generator producing 32-bit outputs from
@@ -182,7 +204,13 @@ func (t Threshold) Prob() float64 { return float64(t) / (1 << bernoulliBits) }
 // exactly one raw draw. This is the allocation-free hot path used by the
 // per-activation loops; precompute t with NewThreshold.
 func (s *Stream) BernoulliT(t Threshold) bool {
-	return s.next()>>11 < uint64(t)
+	return t.fires(s.next())
+}
+
+// fires reports whether the raw draw v falls under the threshold: its high
+// 53 bits, the Bernoulli lattice, compared against t.
+func (t Threshold) fires(v uint64) bool {
+	return v>>(64-bernoulliBits) < uint64(t)
 }
 
 // Bernoulli returns true with probability p. Probabilities outside [0,1]
@@ -333,18 +361,31 @@ func fastLog(v float64) float64 {
 // Intn returns a uniform integer in [0,n). It panics if n <= 0, mirroring
 // math/rand, because a zero-sized choice is always a caller bug.
 func (s *Stream) Intn(n int) int {
+	if x := s.xs; x != nil {
+		return x.Intn(n)
+	}
+	bound := intnBound(n)
+	for {
+		if v, ok := lemire(s.src.Uint64(), bound); ok {
+			return v
+		}
+	}
+}
+
+// intnBound checks an Intn range and returns it as the sampling bound.
+func intnBound(n int) uint64 {
 	if n <= 0 {
 		panic("rng: Intn called with n <= 0")
 	}
-	// Lemire's nearly-divisionless bounded sampling.
-	bound := uint64(n)
-	for {
-		v := s.next()
-		hi, lo := mul128(v, bound)
-		if lo >= bound || lo >= (-bound)%bound {
-			return int(hi)
-		}
-	}
+	return uint64(n)
+}
+
+// lemire is one step of Lemire's nearly-divisionless bounded sampling: it
+// maps the raw draw v to [0, bound), reporting false when v falls in the
+// rejection zone and Intn must draw again.
+func lemire(v, bound uint64) (int, bool) {
+	hi, lo := mul128(v, bound)
+	return int(hi), lo >= bound || lo >= (-bound)%bound
 }
 
 // Perm returns a pseudo-random permutation of [0,n) using Fisher-Yates.
@@ -424,14 +465,8 @@ func Derived(base, i uint64) *Stream {
 	return New(DeriveSeed(base, i))
 }
 
-// mul128 returns the 128-bit product of a and b as (hi, lo).
+// mul128 returns the 128-bit product of a and b as (hi, lo): bits.Mul64,
+// which the compiler lowers to a single widening multiply.
 func mul128(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
+	return bits.Mul64(a, b)
 }

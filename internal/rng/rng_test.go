@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -251,6 +252,44 @@ func TestBernoulliTAllocationFree(t *testing.T) {
 		t.Fatalf("BernoulliT allocates %v per call, want 0", avg)
 	}
 	_ = n
+}
+
+func TestGeneratorSamplersMatchStream(t *testing.T) {
+	// XorShift64Star's own BernoulliT and Intn must draw exactly what a
+	// Stream over the same generator draws — on the devirtualized path and
+	// the interface path alike — and Intn must be Lemire's sampler over the
+	// raw draws. The huge bounds make the rejection loop run often.
+	type opaque struct{ Source }
+	bounds := []int{1, 2, 3, 79, 1 << 13, 1<<62 + 1, 3 << 61, math.MaxInt64}
+	const p = 0.75
+	th := NewThreshold(p)
+	for _, seed := range []uint64{1, 31, 0xDEADBEEF} {
+		x := NewXorShift64Star(seed)
+		direct := New(seed)
+		viaIface := NewStream(opaque{NewXorShift64Star(seed)})
+		ref := NewXorShift64Star(seed)
+		refIntn := func(n int) int {
+			bound := new(big.Int).SetUint64(uint64(n))
+			for {
+				prod := new(big.Int).Mul(new(big.Int).SetUint64(ref.Uint64()), bound)
+				lo := new(big.Int).And(prod, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+				if lo >= uint64(n) || lo >= -uint64(n)%uint64(n) {
+					return int(new(big.Int).Rsh(prod, 64).Uint64())
+				}
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			want := float64(ref.Uint64()>>11)/(1<<53) < p
+			if a, b, c := x.BernoulliT(th), direct.BernoulliT(th), viaIface.BernoulliT(th); a != want || b != want || c != want {
+				t.Fatalf("seed %d draw %d: BernoulliT generator=%v stream=%v interface=%v, want %v", seed, i, a, b, c, want)
+			}
+			n := bounds[i%len(bounds)]
+			want2 := refIntn(n)
+			if a, b, c := x.Intn(n), direct.Intn(n), viaIface.Intn(n); a != want2 || b != want2 || c != want2 {
+				t.Fatalf("seed %d draw %d: Intn(%d) generator=%d stream=%d interface=%d, want %d", seed, i, n, a, b, c, want2)
+			}
+		}
+	}
 }
 
 func TestIntnBounds(t *testing.T) {

@@ -3,10 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 
 	"pride/internal/addrmap"
@@ -466,7 +463,7 @@ func (s Spec) prepareReplay() (prepared, error) {
 		closeSrc()
 		return prepared{}, err
 	}
-	records, crc, err := fingerprint(src)
+	records, crc, err := system.ReplayFingerprint(src)
 	closeSrc()
 	if err != nil {
 		return prepared{}, err
@@ -506,33 +503,6 @@ func (s Spec) prepareReplay() (prepared, error) {
 			}, nil
 		},
 	}, nil
-}
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// fingerprint drains src counting records and computing the same CRC-32C
-// over their little-endian bytes that the replay demux computes, so the
-// cache key a submission is filed under equals the checkpoint key the
-// campaign itself derives.
-func fingerprint(src trace.Source) (records uint64, crc uint32, err error) {
-	var (
-		batch [4096]uint64
-		le    [4096 * 8]byte
-	)
-	for {
-		n, rerr := src.ReadBatch(batch[:])
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(le[i*8:], batch[i])
-		}
-		crc = crc32.Update(crc, castagnoli, le[:n*8])
-		records += uint64(n)
-		if rerr == io.EOF {
-			return records, crc, nil
-		}
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-	}
 }
 
 // faultSource wraps a replay source with the trace.read fault site: a chaos

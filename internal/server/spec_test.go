@@ -1,11 +1,17 @@
 package server
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"pride/internal/addrmap"
+	"pride/internal/dram"
 	"pride/internal/engine"
 	"pride/internal/montecarlo"
+	"pride/internal/sim"
+	"pride/internal/system"
+	"pride/internal/workload"
 )
 
 func TestSpecPrepareValidation(t *testing.T) {
@@ -48,6 +54,48 @@ func TestSecurityKeyMatchesCLIKey(t *testing.T) {
 	}
 	cfg := montecarlo.LossConfig{Entries: 2, Window: 16, InsertionProb: 1.0 / 16, Periods: 1000}
 	if want := montecarlo.LossCampaignKey(cfg, 42, engine.Event); p.key != want {
+		t.Fatalf("key = %q, want %q", p.key, want)
+	}
+}
+
+func TestReplayKeyMatchesCampaignKey(t *testing.T) {
+	// A generated replay job is filed under a key computed at submit time,
+	// before anything replays; it must be the key a direct ReplayCampaign
+	// over the same generated records derives, so a CLI checkpoint and a
+	// server cache entry describe the same computation.
+	const mapping = "col=6 bank=3 row=13 rank=1 chan=2 xor=1"
+	spec := Spec{Kind: "replay", Seed: 11, Replay: &ReplaySpec{
+		Workload: "mcf", Mapping: mapping, ACTs: 30000, Scheme: "PrIDE", TRH: 500,
+	}}
+	p, err := spec.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wspec workload.Spec
+	for _, w := range workload.All() {
+		if w.Name == "mcf" {
+			wspec = w
+		}
+	}
+	m, err := addrmap.ParseMapping(mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := sim.SchemeByName("PrIDE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := system.TopologyConfig{Params: dram.DDR5(), Mapping: m, Scheme: scheme, TRH: 500, Seed: 11}
+	topo, err := system.NewTopology(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := topo.ReplayCampaign(context.Background(), workload.NewAddrSource(wspec, m, 30000, 11), system.ReplayOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := system.ReplayCampaignKey(cfg, res.Records, res.CRC32); p.key != want {
 		t.Fatalf("key = %q, want %q", p.key, want)
 	}
 }

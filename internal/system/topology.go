@@ -430,10 +430,34 @@ func (t *Topology) demux(src trace.Source, sink ReplaySink, arena *slabArena) (q
 	}
 }
 
-// castagnoli matches internal/trace's record CRC polynomial, so the demux
-// fingerprint of a binary trace's records is comparable across runs
-// regardless of the source implementation.
+// castagnoli is the CRC-32C table of the replay fingerprint.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ReplayFingerprint drains src and returns its record count and the CRC-32C
+// of its little-endian record bytes: the fingerprint demux computes, so
+// ReplayCampaignKey over the two is the key a ReplayCampaign of the same
+// records derives, known without replaying them. The daemon files a replay
+// job under it before the job runs.
+func ReplayFingerprint(src trace.Source) (records uint64, crc uint32, err error) {
+	var (
+		batch [demuxBatch]uint64
+		le    [demuxBatch * 8]byte
+	)
+	for {
+		n, rerr := src.ReadBatch(batch[:])
+		for i, addr := range batch[:n] {
+			binary.LittleEndian.PutUint64(le[i*8:], addr)
+		}
+		crc = crc32.Update(crc, castagnoli, le[:n*8])
+		records += uint64(n)
+		if rerr == io.EOF {
+			return records, crc, nil
+		}
+		if rerr != nil {
+			return 0, 0, rerr
+		}
+	}
+}
 
 // replayShard replays one bank's row queue from scratch: tracker, stream,
 // controller and scrambler are built from index-derived seeds inside the

@@ -379,6 +379,42 @@ func TestReplayCampaignKeyIgnoresWorkers(t *testing.T) {
 	}
 }
 
+func TestReplayFingerprintMatchesDemux(t *testing.T) {
+	// The submit-time fingerprint and the demux's must agree on the
+	// records, whether they come from a generator or a binary trace, at a
+	// length that leaves a partial last batch.
+	const n = 3*demuxBatch + 17
+	top, err := NewTopology(serverConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := top.Replay(serverSource(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, err := trace.Drain(serverSource(n), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteAll(&buf, serverMapping(), addrs); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]trace.Source{"generator": serverSource(n), "binary trace": tr} {
+		records, crc, err := ReplayFingerprint(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if records != res.Records || crc != res.CRC32 {
+			t.Errorf("%s: fingerprint (%d, %08x), demux (%d, %08x)", name, records, crc, res.Records, res.CRC32)
+		}
+	}
+}
+
 // TestReplayRetriedShardsMatchClean injects a panic into the first attempt
 // of a few shards: with a retry budget of two attempts each shard re-runs
 // on its worker's reused bank, and the replay must equal the clean one at

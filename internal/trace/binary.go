@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"pride/internal/addrmap"
@@ -45,8 +44,6 @@ const RecordSize = 8
 
 var errEOF = io.EOF
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Reader streams records from a binary ACT trace. It buffers internally
 // (one fixed buffer allocated at construction) and decodes with zero
 // allocations per record; feed it batches via ReadBatch and reuse the batch
@@ -56,7 +53,6 @@ type Reader struct {
 	compiled addrmap.Compiled
 	count    uint64
 	read     uint64
-	crc      uint32
 	buf      []byte
 	start    int
 	end      int
@@ -92,7 +88,6 @@ func (tr *Reader) Reset(r io.Reader) error {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return fmt.Errorf("trace: reading header: %v", err)
 	}
-	tr.crc = crc32.Update(0, castagnoli, hdr)
 	if string(hdr[0:8]) != Magic {
 		return fmt.Errorf("trace: bad magic %q, want %q", hdr[0:8], Magic)
 	}
@@ -139,11 +134,6 @@ func (tr *Reader) offset() uint64 { return HeaderSize + tr.read*RecordSize }
 
 // Count returns the record count declared in the header.
 func (tr *Reader) Count() uint64 { return tr.count }
-
-// CRC32 returns the CRC-32C of every byte consumed so far (header
-// included). After the stream is drained it fingerprints the whole trace,
-// which the replay campaign folds into its checkpoint key.
-func (tr *Reader) CRC32() uint32 { return tr.crc }
 
 // ReadBatch implements Source: it fills dst with up to len(dst) records and
 // returns how many it wrote. At the end of the stream it verifies that
@@ -199,10 +189,7 @@ func (tr *Reader) fill() error {
 	tr.start = 0
 	for tr.end < RecordSize {
 		m, err := tr.r.Read(tr.buf[tr.end:])
-		if m > 0 {
-			tr.crc = crc32.Update(tr.crc, castagnoli, tr.buf[tr.end:tr.end+m])
-			tr.end += m
-		}
+		tr.end += m
 		if err != nil {
 			if err == io.EOF {
 				return fmt.Errorf("trace: torn tail: header declares %d records, stream ends after %d (byte offset %d)",

@@ -21,15 +21,21 @@ import (
 // records to a trace file and replaying the file is bit-identical to
 // replaying the source directly.
 type AddrSource struct {
-	spec     Spec
 	compiled addrmap.Compiled
+	// hit is the spec's RowHitRate as a Bernoulli threshold, computed once.
+	hit rng.Threshold
 	// channels, ranks, banks and rows are the mapping's geometry, read once
 	// so a row miss draws a coordinate without re-deriving it.
 	channels, ranks, banks, rows int
 	n                            int
 	emitted                      int
-	r                            *rng.Stream
-	cur                          addrmap.Coord
+	// x is the generator itself rather than a Stream over it: ReadBatch
+	// copies it into a local for the batch, so each draw works on a
+	// register instead of loading and storing the state through a pointer.
+	x rng.XorShift64Star
+	// cur is the encoded address of the open row: a row hit repeats it, a
+	// miss draws and encodes a fresh one.
+	cur uint64
 }
 
 // NewAddrSource returns a source of exactly n ACT records for spec under
@@ -44,19 +50,25 @@ func NewAddrSource(spec Spec, m addrmap.Mapping, n int, seed uint64) *AddrSource
 	}
 	c := m.MustCompile()
 	s := &AddrSource{
-		spec: spec, compiled: c, n: n, r: rng.New(seed),
+		compiled: c, hit: rng.NewThreshold(spec.RowHitRate), n: n,
+		x:        *rng.NewXorShift64Star(seed),
 		channels: c.Channels(), ranks: c.Ranks(), banks: c.Banks(), rows: c.Rows(),
 	}
-	s.draw()
+	s.cur, s.x = s.miss(s.x)
 	return s
 }
 
-// draw moves the cursor to a uniformly drawn coordinate: a row miss.
-func (s *AddrSource) draw() {
-	s.cur.Channel = s.r.Intn(s.channels)
-	s.cur.Rank = s.r.Intn(s.ranks)
-	s.cur.Bank = s.r.Intn(s.banks)
-	s.cur.Row = s.r.Intn(s.rows)
+// miss draws a uniformly random coordinate from x — channel, rank, bank,
+// row, in that order — and returns its encoded address and the advanced
+// generator. Taking and returning x by value keeps ReadBatch's copy out of
+// memory.
+func (s *AddrSource) miss(x rng.XorShift64Star) (uint64, rng.XorShift64Star) {
+	var co addrmap.Coord
+	co.Channel = x.Intn(s.channels)
+	co.Rank = x.Intn(s.ranks)
+	co.Bank = x.Intn(s.banks)
+	co.Row = x.Intn(s.rows)
+	return s.compiled.Encode(co), x
 }
 
 // Mapping implements trace.Source.
@@ -65,21 +77,23 @@ func (s *AddrSource) Mapping() addrmap.Mapping { return s.compiled.Mapping() }
 // Count returns the total number of records the source emits.
 func (s *AddrSource) Count() uint64 { return uint64(s.n) }
 
-// ReadBatch implements trace.Source.
+// ReadBatch implements trace.Source. A row hit costs one draw and a store;
+// only a miss draws a coordinate and encodes it.
 func (s *AddrSource) ReadBatch(dst []uint64) (int, error) {
 	if s.emitted == s.n {
 		return 0, io.EOF
 	}
-	n := len(dst)
-	if left := s.n - s.emitted; n > left {
-		n = left
+	if left := s.n - s.emitted; len(dst) > left {
+		dst = dst[:left]
 	}
-	for i := 0; i < n; i++ {
-		if !s.r.Bernoulli(s.spec.RowHitRate) {
-			s.draw()
+	x, cur, hit := s.x, s.cur, s.hit
+	for i := range dst {
+		if !x.BernoulliT(hit) {
+			cur, x = s.miss(x)
 		}
-		dst[i] = s.compiled.Encode(s.cur)
+		dst[i] = cur
 	}
-	s.emitted += n
-	return n, nil
+	s.x, s.cur = x, cur
+	s.emitted += len(dst)
+	return len(dst), nil
 }
