@@ -115,7 +115,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Build the record source: a streamed file or a workload generator.
-	var src trace.Source
+	var src countedSource
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
 		if err != nil {
@@ -240,10 +240,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// countedSource is a record source that knows its length before the first
+// read: a binary trace's header count, a text trace's length or a
+// generator's record count.
+type countedSource interface {
+	trace.Source
+	Count() uint64
+}
+
 // openTrace sniffs whether f holds the binary or the text trace form and
 // returns the matching source. Binary streams decode incrementally; the text
 // form is small by construction and is loaded whole.
-func openTrace(f *os.File) (trace.Source, error) {
+func openTrace(f *os.File) (countedSource, error) {
 	br := bufio.NewReaderSize(f, 1<<16)
 	head, err := br.Peek(len(trace.Magic))
 	if err == nil && string(head) == trace.Magic {
@@ -256,21 +264,36 @@ func openTrace(f *os.File) (trace.Source, error) {
 	return trace.NewSliceSource(m, addrs), nil
 }
 
-// emitTrace drains src and writes it as a binary trace at path.
-func emitTrace(src trace.Source, path string) error {
-	addrs, err := trace.Drain(src, nil)
-	if err != nil {
-		return err
-	}
+// emitTrace streams src to a binary trace at path, one batch at a time: the
+// header declares src's record count up front, so no more than a batch of
+// records is ever held in memory.
+func emitTrace(src countedSource, path string) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteAll(f, src.Mapping(), addrs); err != nil {
-		f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	tw, err := trace.NewWriter(f, src.Mapping(), src.Count())
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	var batch [4096]uint64
+	for {
+		n, rerr := src.ReadBatch(batch[:])
+		if err := tw.WriteBatch(batch[:n]); err != nil {
+			return err
+		}
+		if rerr == io.EOF {
+			return tw.Close()
+		}
+		if rerr != nil {
+			return rerr
+		}
+	}
 }
 
 // parseBudgets parses the -rfm comma-separated per-channel budget list.

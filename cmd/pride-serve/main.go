@@ -1,10 +1,12 @@
 // Command pride-serve runs the campaign server daemon: an HTTP/JSON front
 // end over the same deterministic campaign stack the CLIs drive. Clients
 // POST campaign specs (security, attack, ttfsim, replay) to /v1/jobs and
-// poll /v1/jobs/<id>; results are cached by the campaign's canonical
-// checkpoint key, so a repeat submission with the same config+seed is served
-// without recompute, and a submission interrupted by a daemon restart
-// resumes from its persisted checkpoint.
+// poll /v1/jobs/<id>; results are cached by a key known at submit (the
+// campaign's canonical checkpoint key, or a generated replay's spec), so a
+// repeat submission with the same config+seed is served without recompute,
+// and a submission interrupted by a daemon restart resumes from its
+// persisted checkpoint. A replay of more than server.MaxReplayRecords
+// records is rejected at submit.
 //
 // Usage:
 //

@@ -2,20 +2,12 @@ package server
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
-	"pride/internal/addrmap"
-	"pride/internal/dram"
 	"pride/internal/faultinject"
-	"pride/internal/sim"
-	"pride/internal/system"
 	"pride/internal/trialrunner"
-	"pride/internal/workload"
 )
 
 // TestChaosRunBitIdenticalToDirectCampaign is the acceptance gate for the
@@ -111,50 +103,9 @@ func TestChaosRunBitIdenticalToDirectCampaign(t *testing.T) {
 
 	// The CLI path: the identical campaign straight through the system
 	// layer, mirroring how prepareReplay builds it from replaySpec's fields.
-	var wspec workload.Spec
-	for _, w := range workload.All() {
-		if w.Name == "lbm" {
-			wspec = w
-		}
-	}
-	m, err := addrmap.ParseMapping("col=6 bank=2 row=10 rank=0 chan=1 xor=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme, err := sim.SchemeByName("PrIDE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := workload.NewAddrSource(wspec, m, 8000000, 7)
-	topo, err := system.NewTopology(system.TopologyConfig{
-		Params:  dram.DDR5(),
-		Mapping: src.Mapping(),
-		Scheme:  scheme,
-		TRH:     500,
-		Seed:    7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := topo.ReplayCampaign(context.Background(), src, system.ReplayOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := json.Marshal(ReplayResult{
-		Records:    res.Records,
-		CRC32:      fmt.Sprintf("%08x", res.CRC32),
-		TotalFlips: res.TotalFlips(),
-		PerChannel: res.PerChannel(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := directReplay(t, generatedSource(t, "lbm", "col=6 bank=2 row=10 rank=0 chan=1 xor=0", 8000000, 7), 7)
 	// The HTTP layer re-indents responses; compare the compact forms.
-	var served bytes.Buffer
-	if err := json.Compact(&served, done.Result); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(served.Bytes(), wantJSON) {
-		t.Fatalf("chaos-run result differs from the direct campaign:\n  server: %s\n  direct: %s", served.Bytes(), wantJSON)
+	if served := compactJSON(t, done.Result); !bytes.Equal(served, want) {
+		t.Fatalf("chaos-run result differs from the direct campaign:\n  server: %s\n  direct: %s", served, want)
 	}
 }

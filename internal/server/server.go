@@ -4,10 +4,20 @@
 //
 // The robustness contract:
 //
-//   - Jobs are cached by the campaign's canonical checkpoint key: a repeat
-//     submission with the same config+seed is served from the result store
-//     without recompute, and a submission whose previous run was interrupted
-//     resumes from its persisted checkpoint instead of restarting.
+//   - Jobs are cached by a key known at submit: a repeat submission with the
+//     same config+seed is served from the result store without recompute,
+//     and a submission whose previous run was interrupted resumes from its
+//     persisted checkpoint instead of restarting. The key is the campaign's
+//     canonical checkpoint key, with one exception: a generated replay job
+//     is keyed by its spec (workload, mapping, record count, seed, scheme,
+//     params, TRH and workload.StreamVersion), so neither a submit nor a
+//     cache hit generates its stream. Its run stores the campaign key its
+//     own demux derived next to the result, and a done or cached job
+//     reports that campaign key. A trace-file replay is keyed by the file's
+//     fingerprint at submit, because the file can change; its run must
+//     derive the same key, or the job fails and nothing is stored.
+//   - Admission is bounded: a replay of more than MaxReplayRecords records
+//     is rejected at submit, before a record is generated or read.
 //   - Failed jobs retry with exponential backoff plus deterministic
 //     per-job jitter (trialrunner.RetryPolicy semantics lifted to the job
 //     level); each attempt runs under an optional deadline, and because
@@ -117,8 +127,11 @@ func (c Config) jobRetry() trialrunner.RetryPolicy {
 
 // Job is the server-side record of one submitted campaign.
 type Job struct {
-	ID       string `json:"id"`
-	Kind     string `json:"kind"`
+	ID   string `json:"id"`
+	Kind string `json:"kind"`
+	// Key is the key the job is filed under while it is queued or running,
+	// and the checkpoint key of the campaign that produced its result once
+	// it is done. The two differ only for a generated replay job.
 	Key      string `json:"key"`
 	State    string `json:"state"`
 	Attempts int    `json:"attempts,omitempty"`
@@ -281,7 +294,7 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	s.setState(j, StateRunning)
-	seed := jobSeed(j.Key)
+	seed := jobSeed(j.prep.key)
 	maxAttempts := s.retry.Attempts
 	var lastErr error
 	for a := 0; a < maxAttempts; a++ {
@@ -295,9 +308,9 @@ func (s *Server) runJob(j *Job) {
 		s.mu.Lock()
 		j.Attempts = a + 1
 		s.mu.Unlock()
-		res, err := s.attempt(j, a)
+		res, campaignKey, err := s.attempt(j, a)
 		if err == nil {
-			if perr := s.store.Put(j.Key, j.Kind, res); perr != nil {
+			if perr := s.store.Put(j.prep.key, campaignKey, j.Kind, res); perr != nil {
 				// The campaign completed but the result didn't land; the
 				// store already retried with backoff, so treat it like any
 				// other attempt failure. The campaign's own checkpoint was
@@ -308,6 +321,7 @@ func (s *Server) runJob(j *Job) {
 			}
 			raw, _ := json.Marshal(res)
 			s.mu.Lock()
+			j.Key = campaignKey
 			j.Result = raw
 			j.Error = ""
 			j.State = StateDone
@@ -353,7 +367,7 @@ func (s *Server) backoff(seed uint64, attempt int) bool {
 // site is consulted first (a panic-kind fault is raised through the same
 // recover machinery a genuine campaign panic uses); the campaign then runs
 // under the per-attempt deadline with its checkpoint keyed by the job ID.
-func (s *Server) attempt(j *Job, a int) (res any, err error) {
+func (s *Server) attempt(j *Job, a int) (res any, campaignKey string, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("server: job %s panicked: %v", j.ID, v)
@@ -364,7 +378,7 @@ func (s *Server) attempt(j *Job, a int) (res any, err error) {
 			if p, ok := f.(interface{ Panics() bool }); ok && p.Panics() {
 				panic(f)
 			}
-			return nil, f
+			return nil, "", f
 		}
 	}
 	actx := s.runCtx
@@ -377,7 +391,7 @@ func (s *Server) attempt(j *Job, a int) (res any, err error) {
 	if workers == 0 {
 		workers = s.cfg.CampaignWorkers
 	}
-	res, err = j.prep.run(actx, runOpts{
+	res, campaignKey, err = j.prep.run(actx, runOpts{
 		workers:    workers,
 		checkpoint: trialrunner.Checkpoint{Path: filepath.Join(s.ckptDir, j.ID+".ckpt")},
 		retry:      j.spec.trialRetry(),
@@ -390,7 +404,7 @@ func (s *Server) attempt(j *Job, a int) (res any, err error) {
 		// resumes rather than restarting — attempts make monotone progress.
 		err = fmt.Errorf("server: job %s attempt %d hit the %v deadline: %w", j.ID, a+1, s.retry.Deadline, err)
 	}
-	return res, err
+	return res, campaignKey, err
 }
 
 // routes builds the HTTP surface.
@@ -430,8 +444,8 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// handleSubmit accepts a campaign spec, files it under its canonical cache
-// key, and returns the job — possibly already done (cache hit), possibly
+// handleSubmit accepts a campaign spec, files it under its cache key, and
+// returns the job — possibly already done (cache hit), possibly
 // pre-existing (idempotent resubmission), freshly queued otherwise.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.lim.Allow(clientID(r)) {
@@ -462,7 +476,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	} else if ok {
 		s.camp.AddCacheHits(1)
 		writeJSON(w, http.StatusOK, Job{
-			ID: id, Kind: spec.Kind, Key: prep.key,
+			ID: id, Kind: spec.Kind, Key: env.campaignKey(),
 			State: StateDone, Cached: true, Result: env.Result,
 		})
 		return
@@ -525,7 +539,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if env, ok, err := s.store.GetByID(id); err == nil && ok {
 		writeJSON(w, http.StatusOK, Job{
-			ID: id, Kind: env.Kind, Key: env.Key,
+			ID: id, Kind: env.Kind, Key: env.campaignKey(),
 			State: StateDone, Cached: true, Result: env.Result,
 		})
 		return

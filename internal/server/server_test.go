@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pride/internal/faultinject"
+	"pride/internal/trace"
 	"pride/internal/trialrunner"
 )
 
@@ -159,6 +160,83 @@ func TestSubmitValidationAndNotFound(t *testing.T) {
 	}
 	if code, _ := getJob(t, ts, "deadbeefdeadbeef"); code != http.StatusNotFound {
 		t.Fatalf("unknown job = %d, want 404", code)
+	}
+	// Admission: a replay over the record limit is a client error at submit.
+	over := fmt.Sprintf(`{"kind":"replay","seed":1,"replay":{"workload":"lbm","mapping":"col=6 bank=2 row=10 rank=0 chan=1 xor=0","acts":%d,"scheme":"PrIDE","trh":500}}`, 10_000_000_000)
+	code, _, body = postSpec(t, ts, over, nil)
+	if code != http.StatusBadRequest || !strings.Contains(body, fmt.Sprint(MaxReplayRecords)) {
+		t.Fatalf("replay over the record limit = %d %s, want 400 naming the limit", code, body)
+	}
+}
+
+// TestRewrittenTraceFailsAndStoresNothing rewrites a binary trace file
+// between a replay job's submit and its run. The run reads other records
+// than the submit fingerprinted, so the job must fail naming both keys and
+// store nothing under either; resubmitting the spec then fingerprints the
+// new content and runs it fresh, matching the direct campaign.
+func TestRewrittenTraceFailsAndStoresNothing(t *testing.T) {
+	const mapping = "col=6 bank=2 row=10 rank=0 chan=1 xor=0"
+	path := filepath.Join(t.TempDir(), "rewritten.trace")
+	writeTraceFile(t, path, "lbm", mapping, 20000, 1)
+	spec := fmt.Sprintf(`{"kind":"replay","seed":5,"replay":{"trace_path":%q,"scheme":"PrIDE","trh":500}}`, path)
+
+	// The server starts no worker until the file is rewritten, so the job
+	// is still queued when its file changes.
+	dataDir := t.TempDir()
+	s, err := New(Config{DataDir: dataDir, JobRetry: trialrunner.RetryPolicy{Backoff: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Drain()
+	})
+	code, j, body := postSpec(t, ts, spec, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d (%s), want 202", code, body)
+	}
+	submitted := j.Key
+
+	// Same mapping and length, other records.
+	writeTraceFile(t, path, "lbm", mapping, 20000, 2)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten, wantResult := directReplay(t, tr, 5)
+	if rewritten == submitted {
+		t.Fatal("the rewrite did not change the trace's key")
+	}
+
+	s.Start()
+	failed := waitState(t, ts, j.ID, StateDone, StateFailed)
+	if failed.State != StateFailed || !strings.Contains(failed.Error, submitted) || !strings.Contains(failed.Error, rewritten) {
+		t.Fatalf("job over a rewritten trace = %s (%s), want failed naming %q and %q", failed.State, failed.Error, submitted, rewritten)
+	}
+	for _, key := range []string{submitted, rewritten} {
+		if _, ok, err := s.store.Get(key); ok || err != nil {
+			t.Fatalf("store holds a result under %q (ok=%v err=%v)", key, ok, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "checkpoints", j.ID+".ckpt")); !os.IsNotExist(err) {
+		t.Fatalf("the failed job left a checkpoint: %v", err)
+	}
+
+	code, j2, _ := postSpec(t, ts, spec, nil)
+	if code != http.StatusAccepted || j2.ID == j.ID || j2.Key != rewritten {
+		t.Fatalf("resubmit = %d id=%s key=%q, want 202, a new job and key %q", code, j2.ID, j2.Key, rewritten)
+	}
+	done := waitState(t, ts, j2.ID, StateDone, StateFailed)
+	if done.State != StateDone || done.Key != rewritten {
+		t.Fatalf("resubmitted job = %s key=%q (%s), want done with key %q", done.State, done.Key, done.Error, rewritten)
+	}
+	if got := compactJSON(t, done.Result); !bytes.Equal(got, wantResult) {
+		t.Fatalf("result differs from the direct campaign:\n  server: %s\n  direct: %s", got, wantResult)
 	}
 }
 
@@ -339,7 +417,7 @@ func TestStoreRejectsKeyCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put("key-a", "security", map[string]int{"x": 1}); err != nil {
+	if err := st.Put("key-a", "key-a", "security", map[string]int{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
 	env, ok, err := st.Get("key-a")

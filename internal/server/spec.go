@@ -136,12 +136,14 @@ func (o runOpts) campaignFaults() trialrunner.TrialFaults {
 	return o.faults
 }
 
-// prepared is a validated, runnable form of a Spec: its canonical cache key
-// (the exact checkpoint key the equivalent CLI run would use) and a run
-// function producing the JSON-encodable result.
+// prepared is a validated, runnable form of a Spec: the key the job is
+// filed under and a run function producing the JSON-encodable result and
+// the campaign's checkpoint key (the exact key the equivalent CLI run would
+// use). The two keys are the same except for a generated replay job, which
+// is filed under its spec and learns its campaign key only by running.
 type prepared struct {
 	key string
-	run func(ctx context.Context, o runOpts) (any, error)
+	run func(ctx context.Context, o runOpts) (res any, campaignKey string, err error)
 }
 
 // engineKind resolves the spec's engine string.
@@ -238,9 +240,10 @@ func (s Spec) prepareSecurity() (prepared, error) {
 		return prepared{}, err
 	}
 	seed := s.Seed
+	key := montecarlo.LossCampaignKey(cfg, seed, eng)
 	return prepared{
-		key: montecarlo.LossCampaignKey(cfg, seed, eng),
-		run: func(ctx context.Context, o runOpts) (any, error) {
+		key: key,
+		run: func(ctx context.Context, o runOpts) (any, string, error) {
 			copts := montecarlo.CampaignOptions{
 				Workers:    o.workers,
 				Checkpoint: o.checkpoint,
@@ -255,9 +258,9 @@ func (s Spec) prepareSecurity() (prepared, error) {
 			}
 			res, err := montecarlo.SimulateLossCampaign(ctx, cfg, seed, copts)
 			if err != nil {
-				return nil, err
+				return nil, "", err
 			}
-			return SecurityResult{WorstLoss: res.WorstLoss(), Detail: res}, nil
+			return SecurityResult{WorstLoss: res.WorstLoss(), Detail: res}, key, nil
 		},
 	}, nil
 }
@@ -293,9 +296,10 @@ func (s Spec) prepareAttack() (prepared, error) {
 	seed := s.Seed
 	nPat := sub.Patterns
 	seeds := sub.Seeds
+	key := sim.AttackCampaignKey(cfg, scheme, nPat, seeds, seed, eng)
 	return prepared{
-		key: sim.AttackCampaignKey(cfg, scheme, nPat, seeds, seed, eng),
-		run: func(ctx context.Context, o runOpts) (any, error) {
+		key: key,
+		run: func(ctx context.Context, o runOpts) (any, string, error) {
 			suite := patterns.Fig15Suite(cfg.Params.RowsPerBank, nPat, seed)
 			copts := sim.CampaignOptions{
 				Workers:    o.workers,
@@ -311,9 +315,9 @@ func (s Spec) prepareAttack() (prepared, error) {
 			}
 			res, err := sim.MaxDisturbanceOverSuiteCampaign(ctx, cfg, scheme, suite, seeds, seed, copts)
 			if err != nil {
-				return nil, err
+				return nil, "", err
 			}
-			return res, nil
+			return res, key, nil
 		},
 	}, nil
 }
@@ -355,9 +359,10 @@ func (s Spec) prepareTTF() (prepared, error) {
 	}
 	seed := s.Seed
 	trials := sub.Trials
+	key := system.MTTFCampaignKey(cfg, scheme, trials, seed, eng)
 	return prepared{
-		key: system.MTTFCampaignKey(cfg, scheme, trials, seed, eng),
-		run: func(ctx context.Context, o runOpts) (any, error) {
+		key: key,
+		run: func(ctx context.Context, o runOpts) (any, string, error) {
 			copts := system.CampaignOptions{
 				Workers:    o.workers,
 				Checkpoint: o.checkpoint,
@@ -372,9 +377,9 @@ func (s Spec) prepareTTF() (prepared, error) {
 			}
 			mean, failed, err := system.MeasureMTTFCampaign(ctx, cfg, scheme, trials, seed, copts)
 			if err != nil {
-				return nil, err
+				return nil, "", err
 			}
-			return TTFResult{MeanSeconds: mean, Failed: failed, Trials: trials}, nil
+			return TTFResult{MeanSeconds: mean, Failed: failed, Trials: trials}, key, nil
 		},
 	}, nil
 }
@@ -389,6 +394,31 @@ type ReplayResult struct {
 	PerChannel []system.ChannelSummary `json:"per_channel"`
 }
 
+// MaxReplayRecords bounds the records of one replay job. Demux queues every
+// record as a 4-byte row, so the bound caps a job's queues at 1 GiB. A
+// submission over it is rejected before anything is generated or read: a
+// generated job's count is its acts, a trace file's the count its header
+// declares.
+const MaxReplayRecords = 1 << 28
+
+// admitRecords rejects a replay of more than MaxReplayRecords records.
+func admitRecords(records uint64) error {
+	if records > MaxReplayRecords {
+		return fmt.Errorf("replay: %d records exceed the limit of %d records per job", records, MaxReplayRecords)
+	}
+	return nil
+}
+
+// generatedReplayKey files a generated replay job by its spec. A generated
+// stream is a pure function of the workload, mapping, record count and seed
+// at one workload.StreamVersion, so these stand in for the stream's
+// fingerprint, next to everything else the topology's results depend on.
+func generatedReplayKey(cfg system.TopologyConfig, name string, records int) string {
+	return fmt.Sprintf("server.replay-spec|workload=%s|stream=%d|scheme=%s|params=%+v|mapping=%s|trh=%d|rfm=%v|scramble=%d|seed=%d|records=%d",
+		name, workload.StreamVersion, cfg.Scheme.Name, cfg.Params, cfg.Mapping.String(), cfg.TRH, cfg.RFMBudgets,
+		cfg.ScrambleSeed, cfg.Seed, records)
+}
+
 func (s Spec) prepareReplay() (prepared, error) {
 	sub := *s.Replay
 	if s.Engine != "" {
@@ -401,24 +431,58 @@ func (s Spec) prepareReplay() (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
+	tcfg := system.TopologyConfig{
+		Params:    dram.DDR5(),
+		Scheme:    scheme,
+		TRH:       sub.TRH,
+		Seed:      s.Seed,
+		SelfCheck: s.SelfCheck,
+	}
 
-	// makeSource opens a fresh record stream; replay consumes its source,
-	// so the key pre-pass and every run attempt each need their own.
-	var makeSource func() (trace.Source, func(), error)
+	// open opens a fresh record stream; replay consumes its source, so every
+	// run attempt needs its own. key files the job, and expect is the
+	// campaign key the run must derive ("" when only the run can tell).
+	var (
+		open        func() (trace.Source, func(), error)
+		key, expect string
+	)
 	if sub.TracePath != "" {
+		// The file can change between submit and run, so it is keyed by
+		// its fingerprint and the run is checked against it. The header is
+		// the single source of geometric truth, and its count is admitted
+		// before any record is read.
 		path := sub.TracePath
-		makeSource = func() (trace.Source, func(), error) {
+		open = func() (trace.Source, func(), error) {
 			f, err := os.Open(path)
 			if err != nil {
 				return nil, nil, err
 			}
 			tr, err := trace.NewReader(bufio.NewReaderSize(f, 1<<16))
+			if err == nil {
+				err = admitRecords(tr.Count())
+			}
 			if err != nil {
 				f.Close()
 				return nil, nil, fmt.Errorf("%s: %v", path, err)
 			}
 			return tr, func() { f.Close() }, nil
 		}
+		src, closeSrc, err := open()
+		if err != nil {
+			return prepared{}, err
+		}
+		tcfg.Mapping = src.Mapping()
+		if err := tcfg.Validate(); err != nil {
+			closeSrc()
+			return prepared{}, err
+		}
+		records, crc, err := system.ReplayFingerprint(src)
+		closeSrc()
+		if err != nil {
+			return prepared{}, err
+		}
+		key = system.ReplayCampaignKey(tcfg, records, crc)
+		expect = key
 	} else {
 		var wspec workload.Spec
 		found := false
@@ -434,51 +498,34 @@ func (s Spec) prepareReplay() (prepared, error) {
 		if sub.ACTs < 1 {
 			return prepared{}, fmt.Errorf("replay: acts must be >= 1 for a generated workload, got %d", sub.ACTs)
 		}
+		if err := admitRecords(uint64(sub.ACTs)); err != nil {
+			return prepared{}, err
+		}
 		m, err := addrmap.ParseMapping(sub.Mapping)
 		if err != nil {
 			return prepared{}, fmt.Errorf("replay: mapping: %v", err)
 		}
+		tcfg.Mapping = m
+		if err := tcfg.Validate(); err != nil {
+			return prepared{}, err
+		}
 		acts, wseed := sub.ACTs, s.Seed
-		makeSource = func() (trace.Source, func(), error) {
+		open = func() (trace.Source, func(), error) {
 			return workload.NewAddrSource(wspec, m, acts, wseed), func() {}, nil
 		}
-	}
-
-	// The topology mapping comes from the source itself (the trace header
-	// is the single source of geometric truth), so probe one source for it
-	// and for the cache-key fingerprint in the same pass.
-	src, closeSrc, err := makeSource()
-	if err != nil {
-		return prepared{}, err
-	}
-	tcfg := system.TopologyConfig{
-		Params:    dram.DDR5(),
-		Mapping:   src.Mapping(),
-		Scheme:    scheme,
-		TRH:       sub.TRH,
-		Seed:      s.Seed,
-		SelfCheck: s.SelfCheck,
-	}
-	if err := tcfg.Validate(); err != nil {
-		closeSrc()
-		return prepared{}, err
-	}
-	records, crc, err := system.ReplayFingerprint(src)
-	closeSrc()
-	if err != nil {
-		return prepared{}, err
+		key = generatedReplayKey(tcfg, wspec.Name, acts)
 	}
 
 	return prepared{
-		key: system.ReplayCampaignKey(tcfg, records, crc),
-		run: func(ctx context.Context, o runOpts) (any, error) {
+		key: key,
+		run: func(ctx context.Context, o runOpts) (any, string, error) {
 			topo, err := system.NewTopology(tcfg)
 			if err != nil {
-				return nil, err
+				return nil, "", err
 			}
-			src, closeSrc, err := makeSource()
+			src, closeSrc, err := open()
 			if err != nil {
-				return nil, err
+				return nil, "", err
 			}
 			defer closeSrc()
 			ropts := system.ReplayOptions{
@@ -487,20 +534,21 @@ func (s Spec) prepareReplay() (prepared, error) {
 				Retry:      o.retry,
 				Faults:     o.campaignFaults(),
 			}
+			ropts.Checkpoint.Key = expect
 			if o.camp != nil {
 				ropts.Progress = o.camp
 				ropts.Observer = o.camp
 			}
 			res, err := topo.ReplayCampaign(ctx, faultedSource(src, o.faults), ropts)
 			if err != nil {
-				return nil, err
+				return nil, "", err
 			}
 			return ReplayResult{
 				Records:    res.Records,
 				CRC32:      fmt.Sprintf("%08x", res.CRC32),
 				TotalFlips: res.TotalFlips(),
 				PerChannel: res.PerChannel(),
-			}, nil
+			}, system.ReplayCampaignKey(tcfg, res.Records, res.CRC32), nil
 		},
 	}, nil
 }

@@ -1,7 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,10 +18,100 @@ import (
 	"pride/internal/montecarlo"
 	"pride/internal/sim"
 	"pride/internal/system"
+	"pride/internal/trace"
 	"pride/internal/workload"
 )
 
+// generatedSource is the record stream a generated replay spec of the named
+// workload, mapping, acts and seed runs.
+func generatedSource(t *testing.T, name, mapping string, acts int, seed uint64) trace.Source {
+	t.Helper()
+	m, err := addrmap.ParseMapping(mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workload.All() {
+		if w.Name == name {
+			return workload.NewAddrSource(w, m, acts, seed)
+		}
+	}
+	t.Fatalf("unknown workload %q", name)
+	return nil
+}
+
+// writeTraceFile writes a generated stream to path as a binary trace.
+func writeTraceFile(t *testing.T, path, name, mapping string, acts int, seed uint64) {
+	t.Helper()
+	src := generatedSource(t, name, mapping, acts, seed)
+	addrs, err := trace.Drain(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteAll(&buf, src.Mapping(), addrs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// directReplay runs src straight through system.ReplayCampaign, the CLI
+// path, on the topology prepareReplay builds for a PrIDE, TRH 500 replay
+// spec at seed. It returns the campaign key and the compact JSON result a
+// job of that spec must report.
+func directReplay(t *testing.T, src trace.Source, seed uint64) (string, []byte) {
+	t.Helper()
+	scheme, err := sim.SchemeByName("PrIDE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := system.TopologyConfig{Params: dram.DDR5(), Mapping: src.Mapping(), Scheme: scheme, TRH: 500, Seed: seed}
+	topo, err := system.NewTopology(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := topo.ReplayCampaign(context.Background(), src, system.ReplayOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(ReplayResult{
+		Records:    res.Records,
+		CRC32:      fmt.Sprintf("%08x", res.CRC32),
+		TotalFlips: res.TotalFlips(),
+		PerChannel: res.PerChannel(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return system.ReplayCampaignKey(cfg, res.Records, res.CRC32), raw
+}
+
+// compactJSON strips the indentation the HTTP layer adds to a result.
+func compactJSON(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, raw); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestSpecPrepareValidation(t *testing.T) {
+	// A trace whose header declares one record over the limit: admission
+	// must reject it from the header, before reading a record.
+	huge := filepath.Join(t.TempDir(), "huge.trace")
+	writeTraceFile(t, huge, "lbm", "col=6 bank=2 row=10 rank=0 chan=1 xor=0", 10, 1)
+	data, err := os.ReadFile(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(data[24:32], MaxReplayRecords+1)
+	if err := os.WriteFile(huge, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	limit := fmt.Sprintf("limit of %d records", MaxReplayRecords)
+
 	cases := []struct {
 		name string
 		spec Spec
@@ -33,6 +130,8 @@ func TestSpecPrepareValidation(t *testing.T) {
 		{"replay neither source", Spec{Kind: "replay", Replay: &ReplaySpec{Scheme: "PrIDE", TRH: 500}}, "exactly one of workload"},
 		{"replay engine rejected", Spec{Kind: "replay", Engine: "exact", Replay: &ReplaySpec{Workload: "lbm", ACTs: 10, Mapping: "col=6 bank=2 row=10 rank=0 chan=0 xor=0", Scheme: "PrIDE", TRH: 500}}, "inherently exact"},
 		{"replay unknown workload", Spec{Kind: "replay", Replay: &ReplaySpec{Workload: "quake", ACTs: 10, Mapping: "col=6 bank=2 row=10 rank=0 chan=0 xor=0", Scheme: "PrIDE", TRH: 500}}, "unknown workload"},
+		{"replay acts over the limit", Spec{Kind: "replay", Replay: &ReplaySpec{Workload: "lbm", ACTs: MaxReplayRecords + 1, Mapping: "col=6 bank=2 row=10 rank=0 chan=0 xor=0", Scheme: "PrIDE", TRH: 500}}, limit},
+		{"replay trace over the limit", Spec{Kind: "replay", Replay: &ReplaySpec{TracePath: huge, Scheme: "PrIDE", TRH: 500}}, limit},
 	}
 	for _, tc := range cases {
 		_, err := tc.spec.prepare()
@@ -59,44 +158,43 @@ func TestSecurityKeyMatchesCLIKey(t *testing.T) {
 }
 
 func TestReplayKeyMatchesCampaignKey(t *testing.T) {
-	// A generated replay job is filed under a key computed at submit time,
-	// before anything replays; it must be the key a direct ReplayCampaign
-	// over the same generated records derives, so a CLI checkpoint and a
-	// server cache entry describe the same computation.
-	const mapping = "col=6 bank=3 row=13 rank=1 chan=2 xor=1"
-	spec := Spec{Kind: "replay", Seed: 11, Replay: &ReplaySpec{
-		Workload: "mcf", Mapping: mapping, ACTs: 30000, Scheme: "PrIDE", TRH: 500,
-	}}
-	p, err := spec.prepare()
-	if err != nil {
-		t.Fatal(err)
+	// A generated replay job is filed under its spec and learns its
+	// campaign key only by running. The key its done job reports, and the
+	// key a later cache hit reports, in this daemon life and the next, must
+	// be the key a direct ReplayCampaign over the same generated records
+	// derives, so a CLI checkpoint and a server result describe the same
+	// computation.
+	const spec = `{"kind":"replay","seed":11,"replay":{"workload":"mcf","mapping":"col=6 bank=3 row=13 rank=1 chan=2 xor=1","acts":30000,"scheme":"PrIDE","trh":500}}`
+	want, wantResult := directReplay(t, generatedSource(t, "mcf", "col=6 bank=3 row=13 rank=1 chan=2 xor=1", 30000, 11), 11)
+
+	dataDir := t.TempDir()
+	_, ts := testServer(t, Config{DataDir: dataDir})
+	code, j, body := postSpec(t, ts, spec, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d (%s), want 202", code, body)
+	}
+	done := waitState(t, ts, j.ID, StateDone, StateFailed)
+	if done.State != StateDone {
+		t.Fatalf("job failed: %s", done.Error)
+	}
+	if done.Key != want {
+		t.Fatalf("done job key = %q, want %q", done.Key, want)
+	}
+	if got := compactJSON(t, done.Result); !bytes.Equal(got, wantResult) {
+		t.Fatalf("result differs from the direct campaign:\n  server: %s\n  direct: %s", got, wantResult)
+	}
+	code, hit, _ := postSpec(t, ts, spec, nil)
+	if code != http.StatusOK || !hit.Cached || hit.Key != want {
+		t.Fatalf("repeat = %d cached=%v key=%q, want 200, a cache hit and key %q", code, hit.Cached, hit.Key, want)
 	}
 
-	var wspec workload.Spec
-	for _, w := range workload.All() {
-		if w.Name == "mcf" {
-			wspec = w
-		}
+	_, ts2 := testServer(t, Config{DataDir: dataDir})
+	if _, got := getJob(t, ts2, j.ID); got.State != StateDone || got.Key != want {
+		t.Fatalf("next life's status = %s key=%q, want done with key %q", got.State, got.Key, want)
 	}
-	m, err := addrmap.ParseMapping(mapping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme, err := sim.SchemeByName("PrIDE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := system.TopologyConfig{Params: dram.DDR5(), Mapping: m, Scheme: scheme, TRH: 500, Seed: 11}
-	topo, err := system.NewTopology(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := topo.ReplayCampaign(context.Background(), workload.NewAddrSource(wspec, m, 30000, 11), system.ReplayOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := system.ReplayCampaignKey(cfg, res.Records, res.CRC32); p.key != want {
-		t.Fatalf("key = %q, want %q", p.key, want)
+	code, hit, _ = postSpec(t, ts2, spec, nil)
+	if code != http.StatusOK || !hit.Cached || hit.Key != want {
+		t.Fatalf("next life's repeat = %d cached=%v key=%q, want 200, a cache hit and key %q", code, hit.Cached, hit.Key, want)
 	}
 }
 

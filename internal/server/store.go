@@ -34,11 +34,25 @@ func jobSeed(key string) uint64 {
 
 // resultEnvelope is the on-disk form of one completed job: the full cache
 // key (collision guard — the filename only holds a truncated hash), the
-// spec kind, and the campaign's JSON result.
+// campaign key when it differs from the cache key, the spec kind, and the
+// campaign's JSON result.
 type resultEnvelope struct {
-	Key    string          `json:"key"`
-	Kind   string          `json:"kind"`
-	Result json.RawMessage `json:"result"`
+	Key string `json:"key"`
+	// CampaignKey is the checkpoint key of the campaign that produced the
+	// result, stored when the job is filed under another key: a generated
+	// replay job is filed under its spec, and this is the spec's alias to
+	// the stream it ran. Empty means Key is the campaign key.
+	CampaignKey string          `json:"campaign_key,omitempty"`
+	Kind        string          `json:"kind"`
+	Result      json.RawMessage `json:"result"`
+}
+
+// campaignKey is the key a job served from the envelope reports.
+func (e resultEnvelope) campaignKey() string {
+	if e.CampaignKey != "" {
+		return e.CampaignKey
+	}
+	return e.Key
 }
 
 // resultStore persists completed job results under dir, one JSON file per
@@ -102,15 +116,20 @@ func (s *resultStore) GetByID(id string) (resultEnvelope, bool, error) {
 	return env, true, nil
 }
 
-// Put persists a completed result. Each attempt first consults the
-// job.result-write fault site; a failed write (injected or real) retries
-// with doubling backoff until the budget is spent.
-func (s *resultStore) Put(key, kind string, result any) error {
+// Put persists a completed result under key, with the campaign key that
+// produced it. Each attempt first consults the job.result-write fault site;
+// a failed write (injected or real) retries with doubling backoff until the
+// budget is spent.
+func (s *resultStore) Put(key, campaignKey, kind string, result any) error {
 	raw, err := json.Marshal(result)
 	if err != nil {
 		return fmt.Errorf("server: encoding result: %v", err)
 	}
-	data, err := json.Marshal(resultEnvelope{Key: key, Kind: kind, Result: raw})
+	env := resultEnvelope{Key: key, Kind: kind, Result: raw}
+	if campaignKey != key {
+		env.CampaignKey = campaignKey
+	}
+	data, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("server: encoding result: %v", err)
 	}

@@ -285,7 +285,11 @@ type ReplayOptions struct {
 	Workers int
 	// Checkpoint enables durable resume when its Path is set. An empty Key
 	// is filled with the replay's canonical key (configuration + trace
-	// fingerprint, never the worker count).
+	// fingerprint, never the worker count). A non-empty Key is the key the
+	// caller expects the stream to have, such as one fingerprinted before
+	// the replay: when the key the demux derives differs, ReplayCampaign
+	// fails with an error naming both, before any shard runs or any
+	// checkpoint is written.
 	Checkpoint trialrunner.Checkpoint
 	// Progress, when non-nil, receives demux and per-shard counter updates.
 	Progress ReplaySink
@@ -436,8 +440,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ReplayFingerprint drains src and returns its record count and the CRC-32C
 // of its little-endian record bytes: the fingerprint demux computes, so
 // ReplayCampaignKey over the two is the key a ReplayCampaign of the same
-// records derives, known without replaying them. The daemon files a replay
-// job under it before the job runs.
+// records derives, known without replaying them. The daemon files a
+// trace-file replay job under it before the job runs.
 func ReplayFingerprint(src trace.Source) (records uint64, crc uint32, err error) {
 	var (
 		batch [demuxBatch]uint64
@@ -529,7 +533,8 @@ func (t *Topology) Replay(src trace.Source) (ReplayResult, error) {
 // the stream, then a trialrunner pool drains the shards with a
 // deterministic shard-order merge — bit-identical at any worker count —
 // with cancellation, graceful drain, durable checkpoint/resume and progress
-// metering, the same campaign contract the TTF CLIs keep.
+// metering, the same campaign contract the TTF CLIs keep. A non-empty
+// opts.Checkpoint.Key must equal the key the demuxed stream derives.
 func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts ReplayOptions) (ReplayResult, error) {
 	arena := t.takeSlabs()
 	// Deferred: MapCheckpointedWorker returns only after its workers exit,
@@ -540,8 +545,11 @@ func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts Re
 		return ReplayResult{}, err
 	}
 	cp := opts.Checkpoint
+	key := ReplayCampaignKey(t.cfg, records, crc)
 	if cp.Key == "" {
-		cp.Key = ReplayCampaignKey(t.cfg, records, crc)
+		cp.Key = key
+	} else if cp.Key != key {
+		return ReplayResult{}, fmt.Errorf("system: replay stream does not match the expected key (the source changed since its key was derived, or the key belongs to another stream):\n  expected key: %q\n  stream's key: %q", cp.Key, key)
 	}
 	var onDone func(i int, r ShardResult) error
 	if sink := opts.Progress; sink != nil {

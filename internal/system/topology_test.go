@@ -3,12 +3,15 @@ package system
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pride/internal/addrmap"
 	"pride/internal/dram"
@@ -181,6 +184,60 @@ func TestReplayCheckpointResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, fresh) || !reflect.DeepEqual(resumed, fresh) {
 		t.Fatal("checkpointed/resumed replay differs from a fresh serial replay")
+	}
+}
+
+// shardStarts counts the shards a replay starts.
+type shardStarts struct{ n atomic.Int64 }
+
+func (c *shardStarts) TrialStart(int)              { c.n.Add(1) }
+func (c *shardStarts) TrialEnd(int, time.Duration) {}
+
+// TestReplayRejectsUnexpectedKey hands ReplayCampaign the key of a stream
+// other than the one it reads, as when a trace file is rewritten after it
+// was fingerprinted: the call must fail naming both keys before any shard
+// runs or any checkpoint is written. The stream's own key replays normally.
+func TestReplayRejectsUnexpectedKey(t *testing.T) {
+	cfg := serverConfig(t)
+	top := mustTopology(t, cfg)
+	const n = 20000
+	want, err := top.Replay(serverSource(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := ReplayCampaignKey(cfg, want.Records, want.CRC32)
+	stale := ReplayCampaignKey(cfg, want.Records, want.CRC32^1)
+
+	path := filepath.Join(t.TempDir(), "replay.ckpt")
+	var starts shardStarts
+	_, err = top.ReplayCampaign(context.Background(), serverSource(n), ReplayOptions{
+		Workers:    2,
+		Checkpoint: trialrunner.Checkpoint{Path: path, Key: stale},
+		Observer:   &starts,
+	})
+	if err == nil || !strings.Contains(err.Error(), stale) || !strings.Contains(err.Error(), own) {
+		t.Fatalf("replay under a stale key: err = %v, want one naming %q and %q", err, stale, own)
+	}
+	if got := starts.n.Load(); got != 0 {
+		t.Fatalf("%d shards ran before the key mismatch was reported", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a checkpoint was written for the mismatched stream: %v", err)
+	}
+
+	got, err := top.ReplayCampaign(context.Background(), serverSource(n), ReplayOptions{
+		Workers:    2,
+		Checkpoint: trialrunner.Checkpoint{Path: path, Key: own},
+		Observer:   &starts,
+	})
+	if err != nil {
+		t.Fatalf("replay under its own key: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("replay under its own expected key differs from a plain replay")
+	}
+	if got := starts.n.Load(); got != int64(top.Shards()) {
+		t.Fatalf("%d shards ran, want %d", got, top.Shards())
 	}
 }
 

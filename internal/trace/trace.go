@@ -47,6 +47,9 @@ func NewSliceSource(m addrmap.Mapping, addrs []uint64) *SliceSource {
 // Mapping returns the address mapping the records are encoded under.
 func (s *SliceSource) Mapping() addrmap.Mapping { return s.m }
 
+// Count returns the number of records the source holds.
+func (s *SliceSource) Count() uint64 { return uint64(len(s.addrs)) }
+
 // ReadBatch implements Source.
 func (s *SliceSource) ReadBatch(dst []uint64) (int, error) {
 	n := copy(dst, s.addrs[s.pos:])

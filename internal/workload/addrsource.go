@@ -38,6 +38,14 @@ type AddrSource struct {
 	cur uint64
 }
 
+// StreamVersion versions the record stream AddrSource generates for a
+// given (spec, mapping, n, seed). A key built from a generated stream's
+// inputs instead of its records, such as pride-serve's key for a generated
+// replay job, must include it: a deliberate change to the stream bumps it,
+// so every key derived from the old stream stops matching instead of
+// naming records the source no longer emits.
+const StreamVersion = 1
+
 // NewAddrSource returns a source of exactly n ACT records for spec under
 // mapping m, deterministically from seed. It panics on an invalid spec,
 // mapping, or shape (experiment-setup-time failure).

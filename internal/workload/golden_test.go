@@ -68,6 +68,13 @@ var goldenCRCs = map[string][4]uint32{
 	"xz":        {0xc2727ad8, 0x42518d60, 0x4b353790, 0xc7938a5e},
 }
 
+// goldenStreamVersion is the StreamVersion goldenCRCs were computed at. A
+// deliberate stream change, such as making AddrSource emit row misses only,
+// recomputes goldenCRCs and bumps both, so the keys pride-serve derives
+// from a generated spec change with the stream: a daemon's stored results
+// for the old stream become unreachable instead of being served.
+const goldenStreamVersion = 1
+
 // streamCRC drains src in batches of the given size and returns the
 // CRC-32C of its records' little-endian bytes.
 func streamCRC(t *testing.T, src *AddrSource, batch int) uint32 {
@@ -92,6 +99,9 @@ func streamCRC(t *testing.T, src *AddrSource, batch int) uint32 {
 }
 
 func TestAddrSourceGoldenStreams(t *testing.T) {
+	if StreamVersion != goldenStreamVersion {
+		t.Fatalf("StreamVersion = %d, but goldenCRCs pin the streams of version %d: recompute them with the version", StreamVersion, goldenStreamVersion)
+	}
 	all := All()
 	if len(all) != len(goldenCRCs) {
 		t.Fatalf("%d workloads, %d golden entries", len(all), len(goldenCRCs))
