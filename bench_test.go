@@ -21,6 +21,7 @@ import (
 
 	"pride/internal/addrmap"
 	"pride/internal/analytic"
+	"pride/internal/campaign"
 	"pride/internal/core"
 	"pride/internal/dram"
 	"pride/internal/energy"
@@ -211,14 +212,12 @@ func BenchmarkFig14Performance(b *testing.B) {
 // BenchmarkFig15MaxDisturbance runs a reduced Fig 15 suite against PrIDE and
 // reports its worst disturbance (paper: ~1.3K; must stay under TRH*=3.83K).
 func BenchmarkFig15MaxDisturbance(b *testing.B) {
-	p := dram.DDR5()
-	p.RowsPerBank = 8192
-	p.RowBits = 13
+	p := sim.AttackParams()
 	suite := patterns.Fig15Suite(p.RowsPerBank, 8, 1)
 	cfg := sim.AttackConfig{Params: p, ACTs: 100_000}
 	worst := 0
 	for i := 0; i < b.N; i++ {
-		res := sim.MaxDisturbanceOverSuite(cfg, sim.PrIDEScheme(), suite, 1, uint64(i))
+		res := attackSuite(b, cfg, suite, 1, uint64(i), 1)
 		worst = res.MaxDisturbance
 	}
 	b.ReportMetric(float64(worst), "PrIDE-maxDist")
@@ -269,12 +268,19 @@ var lossEngine10M = montecarlo.LossConfig{
 //	go test -bench=LossEngine -benchtime=1x
 func BenchmarkLossEngine(b *testing.B) {
 	const seed = 1
-	reference := montecarlo.SimulateLossParallel(lossEngine10M, seed, 1)
+	loss := func(b *testing.B, workers int) montecarlo.LossResult {
+		res, err := montecarlo.SimulateLossCampaign(context.Background(), lossEngine10M, seed, montecarlo.CampaignOptions{Workers: workers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	reference := loss(b, 1)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			worst := 0.0
 			for i := 0; i < b.N; i++ {
-				res := montecarlo.SimulateLossParallel(lossEngine10M, seed, workers)
+				res := loss(b, workers)
 				if !reflect.DeepEqual(res, reference) {
 					b.Fatalf("workers=%d merged output differs from serial", workers)
 				}
@@ -285,20 +291,28 @@ func BenchmarkLossEngine(b *testing.B) {
 	}
 }
 
+// attackSuite runs PrIDE's Fig 15 suite campaign on the exact engine on
+// `workers` workers and fails the benchmark on an error.
+func attackSuite(b *testing.B, cfg sim.AttackConfig, suite []*patterns.Pattern, seeds int, seed uint64, workers int) sim.AttackResult {
+	res, err := sim.MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, sim.PrIDEScheme(), suite, seeds, seed, sim.CampaignOptions{Workers: workers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkAttackSuiteEngine compares the parallel attack-suite runner
 // against its own serial (workers=1) execution on a reduced Fig 15 workload,
 // asserting worker-count invariance of the merged result.
 func BenchmarkAttackSuiteEngine(b *testing.B) {
-	p := dram.DDR5()
-	p.RowsPerBank = 8192
-	p.RowBits = 13
+	p := sim.AttackParams()
 	suite := patterns.Fig15Suite(p.RowsPerBank, 8, 1)
 	cfg := sim.AttackConfig{Params: p, ACTs: 100_000}
-	reference := sim.MaxDisturbanceOverSuiteParallel(cfg, sim.PrIDEScheme(), suite, 2, 1, 1)
+	reference := attackSuite(b, cfg, suite, 2, 1, 1)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := sim.MaxDisturbanceOverSuiteParallel(cfg, sim.PrIDEScheme(), suite, 2, 1, workers)
+				res := attackSuite(b, cfg, suite, 2, 1, workers)
 				if res != reference {
 					b.Fatalf("workers=%d merged output differs from serial", workers)
 				}
@@ -495,7 +509,10 @@ func BenchmarkSystemTTFValidation(b *testing.B) {
 	cfg := system.Config{Params: p, Banks: 2, TRH: 300, MaxTREFI: 100_000}
 	mttf := 0.0
 	for i := 0; i < b.N; i++ {
-		mean, failed := system.MeasureMTTF(cfg, sim.PrIDEScheme(), 3, uint64(i))
+		mean, failed, err := system.MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), 3, uint64(i), system.CampaignOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if failed > 0 {
 			mttf = mean * 1000
 		}
@@ -520,7 +537,10 @@ func BenchmarkAdversarialSearch(b *testing.B) {
 	}
 	best := 0
 	for i := 0; i < b.N; i++ {
-		res := fuzz.Search(cfg, sim.PrIDEScheme(), uint64(i))
+		res, err := fuzz.SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), uint64(i), campaign.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		best = res.BestDisturbance
 	}
 	b.ReportMetric(float64(best), "fuzz-plateau")

@@ -29,7 +29,7 @@ import (
 	"pride/internal/analytic"
 	"pride/internal/cli"
 	"pride/internal/corpus"
-	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/fuzz"
 	"pride/internal/patterns"
 	"pride/internal/report"
@@ -107,17 +107,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	params := dram.DDR5()
-	params.RowsPerBank = 8192
-	params.RowBits = 13
 	cfg := fuzz.Config{
-		Attack:       sim.AttackConfig{Params: params, ACTs: *acts, SelfCheck: cf.SelfCheck},
+		Attack:       sim.AttackConfig{Params: sim.AttackParams(), ACTs: *acts},
 		Generations:  *generations,
 		Islands:      *islands,
 		Population:   *population,
 		MigrateEvery: *migrate,
 		MaxPairs:     *maxPairs,
-		Engine:       cf.Engine.Kind,
 	}
 
 	for _, scheme := range schemes {
@@ -133,7 +129,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "Worst pattern saved to %s (replay with pride-attack -trace %s)\n", *save, *save)
 		}
 		if *corpusTo != "" {
-			name, err := saveCorpusEntry(*corpusTo, cfg, scheme, *seed, res)
+			name, err := saveCorpusEntry(*corpusTo, cfg, cf.Engine.Kind, scheme, *seed, res)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
@@ -149,14 +145,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 func search(ctx context.Context, cfg fuzz.Config, scheme sim.Scheme, seed uint64, workers int, cf cli.CampaignFlags, faults trialrunner.TrialFaults, stdout, stderr io.Writer) (fuzz.Result, error) {
 	section := "fuzz-" + scheme.Name
 	camp, stop := cf.StartCampaign(ctx, section, cfg.Epochs(), workers, stderr)
-	res, err := fuzz.SearchCampaign(ctx, cfg, scheme, seed, fuzz.SearchOptions{
-		Workers:    workers,
-		Checkpoint: cf.CheckpointAt(section),
-		Progress:   camp,
-		Observer:   camp,
-		Retry:      cf.RetryPolicy(),
-		Faults:     faults,
-	})
+	res, err := fuzz.SearchCampaign(ctx, cfg, scheme, seed, cf.Options(section, workers, camp, faults))
 	stop()
 	if err != nil {
 		return fuzz.Result{}, err
@@ -214,7 +203,7 @@ var corpusClasses = map[string]struct {
 // saveCorpusEntry persists the search's best attack as a committed corpus
 // entry: the trace plus a sidecar binding it to the scheme, the exact
 // evaluation seed, and the measured disturbance.
-func saveCorpusEntry(dir string, cfg fuzz.Config, scheme sim.Scheme, campaignSeed uint64, res fuzz.Result) (string, error) {
+func saveCorpusEntry(dir string, cfg fuzz.Config, eng engine.Kind, scheme sim.Scheme, campaignSeed uint64, res fuzz.Result) (string, error) {
 	cls, ok := corpusClasses[scheme.Name]
 	if !ok {
 		return "", fmt.Errorf("no corpus class defined for scheme %q", scheme.Name)
@@ -226,7 +215,7 @@ func saveCorpusEntry(dir string, cfg fuzz.Config, scheme sim.Scheme, campaignSee
 		ACTs:                cfg.Attack.ACTs,
 		RowsPerBank:         cfg.Attack.Params.RowsPerBank,
 		RowBits:             cfg.Attack.Params.RowBits,
-		Engine:              cfg.Engine.String(),
+		Engine:              eng.String(),
 		Islands:             cfg.Islands,
 		Population:          cfg.Population,
 		Generations:         cfg.Generations,

@@ -174,7 +174,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Seed:         *seed,
 		RFMBudgets:   budgets,
 		ScrambleSeed: *scramble,
-		SelfCheck:    cf.SelfCheck,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -199,14 +198,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}()
 
 	camp, stop := cf.StartCampaign(ctx, "replay", topo.Shards(), *workers, stderr)
-	res, err := topo.ReplayCampaign(ctx, src, system.ReplayOptions{
-		Workers:    *workers,
-		Checkpoint: cf.CheckpointAt("replay"),
-		Progress:   camp,
-		Observer:   camp,
-		Retry:      cf.RetryPolicy(),
-		Faults:     faults,
-	})
+	res, err := topo.ReplayCampaign(ctx, src, cf.Options("replay", *workers, camp, faults))
 	snap := camp.Snapshot()
 	stop()
 	if err != nil {

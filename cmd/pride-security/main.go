@@ -225,16 +225,7 @@ func fig8(ctx context.Context, p dram.Params, periods int, seed uint64, workers 
 	mc := montecarlo.LossConfig{Entries: 1, Window: w, InsertionProb: 1 / float64(w), Periods: periods}
 	camp, stop := cf.StartCampaign(ctx, "fig8", montecarlo.LossCampaignTrials(mc), workers, stderr)
 	defer stop()
-	res, err := montecarlo.SimulateLossCampaign(ctx, mc, seed, montecarlo.CampaignOptions{
-		Workers:    workers,
-		Checkpoint: cf.CheckpointAt("fig8"),
-		Progress:   camp,
-		Observer:   camp,
-		Engine:     cf.Engine.Kind,
-		SelfCheck:  cf.SelfCheck,
-		Retry:      cf.RetryPolicy(),
-		Faults:     faults,
-	})
+	res, err := montecarlo.SimulateLossCampaign(ctx, mc, seed, cf.Options("fig8", workers, camp, faults))
 	if err != nil {
 		return nil, err
 	}

@@ -252,10 +252,12 @@ func TestRunFig8ResumesFromCheckpointBitIdentical(t *testing.T) {
 	}
 }
 
-// progressFunc adapts a closure to montecarlo.ProgressSink for tests.
+// progressFunc adapts a closure to campaign.Sink for tests: it fires once
+// per completed chunk.
 type progressFunc func()
 
 func (f progressFunc) AddPeriods(int64)     { f() }
+func (f progressFunc) AddActivations(int64) {}
 func (f progressFunc) AddMitigations(int64) {}
 
 func TestRunFig8InterruptedExitsWithResumeHint(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"syscall"
 	"time"
 
+	"pride/internal/campaign"
 	"pride/internal/engine"
 	"pride/internal/faultinject"
 	"pride/internal/obs"
@@ -175,6 +176,23 @@ func (c CampaignFlags) CheckpointAt(section string) trialrunner.Checkpoint {
 		path += "." + sanitizeSuffix(section)
 	}
 	return trialrunner.Checkpoint{Path: path, ForceFresh: c.CheckpointForce}
+}
+
+// Options builds the campaign options of one section of a run: workers,
+// the section's checkpoint (CheckpointAt), the -engine, -selfcheck,
+// -trial-retries and -trial-deadline flags, the chaos faults ChaosContext
+// returned, and camp — from StartCampaign — as progress sink and observer.
+func (c CampaignFlags) Options(section string, workers int, camp *obs.Campaign, faults trialrunner.TrialFaults) campaign.Options {
+	return campaign.Options{
+		Workers:    workers,
+		Checkpoint: c.CheckpointAt(section),
+		Progress:   camp,
+		Observer:   camp,
+		Engine:     c.Engine.Kind,
+		SelfCheck:  c.SelfCheck,
+		Retry:      c.RetryPolicy(),
+		Faults:     faults,
+	}
 }
 
 // StartCampaign creates an obs.Campaign, publishes it on the expvar surface,

@@ -9,11 +9,13 @@ import (
 	"sync"
 	"testing"
 
+	"pride/internal/campaign"
+	"pride/internal/engine"
 	"pride/internal/sim"
 	"pride/internal/trialrunner"
 )
 
-// searchSink is a ProgressSink that can cancel a context after a fixed
+// searchSink is a campaign.Sink that can cancel a context after a fixed
 // number of completed epochs — the test stand-in for a SIGINT landing
 // mid-search.
 type searchSink struct {
@@ -34,12 +36,16 @@ func (s *searchSink) AddActivations(n int64) {
 	}
 }
 
+// The search counts activations only.
+func (s *searchSink) AddPeriods(int64)     {}
+func (s *searchSink) AddMitigations(int64) {}
+
 func TestSearchCampaignIsWorkerInvariant(t *testing.T) {
 	cfg := fuzzConfig()
-	want := Search(cfg, sim.PrIDEScheme(), 11) // default workers
+	want := search(t, cfg, sim.PrIDEScheme(), 11) // default workers
 	for _, workers := range []int{1, 2, 5} {
 		got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 11,
-			SearchOptions{Workers: workers})
+			campaign.Options{Engine: engine.Event, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -54,7 +60,7 @@ func TestSearchCampaignMeters(t *testing.T) {
 	cfg := fuzzConfig()
 	sink := &searchSink{}
 	_, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 11,
-		SearchOptions{Workers: 2, Progress: sink})
+		campaign.Options{Engine: engine.Event, Workers: 2, Progress: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +76,7 @@ func TestSearchCampaignMeters(t *testing.T) {
 func TestSearchCampaignResumeIsBitIdentical(t *testing.T) {
 	cfg := fuzzConfig()
 	const seed = 23
-	want := Search(cfg, sim.PrIDEScheme(), seed)
+	want := search(t, cfg, sim.PrIDEScheme(), seed)
 
 	cancelPoints := []int{1, 2}
 	if testing.Short() {
@@ -81,7 +87,7 @@ func TestSearchCampaignResumeIsBitIdentical(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "search.ckpt")
 			ctx, cancel := context.WithCancel(context.Background())
 			sink := &searchSink{cancel: cancel, cancelAfter: cancelAfter}
-			_, err := SearchCampaign(ctx, cfg, sim.PrIDEScheme(), seed, SearchOptions{
+			_, err := SearchCampaign(ctx, cfg, sim.PrIDEScheme(), seed, campaign.Options{Engine: engine.Event,
 				Workers:    workers,
 				Checkpoint: trialrunner.Checkpoint{Path: path},
 				Progress:   sink,
@@ -94,7 +100,7 @@ func TestSearchCampaignResumeIsBitIdentical(t *testing.T) {
 				t.Fatalf("cancelAfter=%d workers=%d: no checkpoint after interrupt: %v", cancelAfter, workers, err)
 			}
 
-			got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), seed, SearchOptions{
+			got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), seed, campaign.Options{Engine: engine.Event,
 				Workers:    workers%3 + 1,
 				Checkpoint: trialrunner.Checkpoint{Path: path},
 			})
@@ -118,7 +124,7 @@ func TestSearchCampaignRejectsStaleCheckpoint(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &searchSink{cancel: cancel, cancelAfter: 1}
-	_, err := SearchCampaign(ctx, cfg, sim.PrIDEScheme(), 5, SearchOptions{
+	_, err := SearchCampaign(ctx, cfg, sim.PrIDEScheme(), 5, campaign.Options{Engine: engine.Event,
 		Workers:    1,
 		Checkpoint: trialrunner.Checkpoint{Path: path},
 		Progress:   sink,
@@ -129,7 +135,7 @@ func TestSearchCampaignRejectsStaleCheckpoint(t *testing.T) {
 	}
 
 	// Resuming under a different seed is a different experiment.
-	_, err = SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 6, SearchOptions{
+	_, err = SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 6, campaign.Options{Engine: engine.Event,
 		Workers:    1,
 		Checkpoint: trialrunner.Checkpoint{Path: path},
 	})
@@ -138,14 +144,14 @@ func TestSearchCampaignRejectsStaleCheckpoint(t *testing.T) {
 	}
 
 	// ForceFresh archives the stale file and completes.
-	got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 6, SearchOptions{
+	got, err := SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 6, campaign.Options{Engine: engine.Event,
 		Workers:    1,
 		Checkpoint: trialrunner.Checkpoint{Path: path, ForceFresh: true},
 	})
 	if err != nil {
 		t.Fatalf("forced fresh run failed: %v", err)
 	}
-	if !reflect.DeepEqual(got, Search(cfg, sim.PrIDEScheme(), 6)) {
+	if !reflect.DeepEqual(got, search(t, cfg, sim.PrIDEScheme(), 6)) {
 		t.Fatal("forced fresh run differs from a clean run")
 	}
 	if _, err := os.Stat(path + ".stale"); err != nil {

@@ -28,7 +28,6 @@ func conformanceConfig(acts int) fuzz.Config {
 		Population:   4,
 		MigrateEvery: 2,
 		MaxPairs:     8,
-		Engine:       engine.Event,
 	}
 }
 
@@ -41,18 +40,18 @@ func TestSearchConformance(t *testing.T) {
 		return s
 	}
 	specs := []trackertest.SearchSpec{
-		{Name: "PrIDE", Scheme: sim.PrIDEScheme(), Config: conformanceConfig(60_000), Seed: 42, Bounded: true},
-		{Name: "PrIDE+RFM40", Scheme: mustScheme("PrIDE+RFM40"), Config: conformanceConfig(60_000), Seed: 42, Bounded: true},
-		{Name: "PrIDE+RFM16", Scheme: mustScheme("PrIDE+RFM16"), Config: conformanceConfig(60_000), Seed: 42, Bounded: true},
+		{Name: "PrIDE", Scheme: sim.PrIDEScheme(), Config: conformanceConfig(60_000), Engine: engine.Event, Seed: 42, Bounded: true},
+		{Name: "PrIDE+RFM40", Scheme: mustScheme("PrIDE+RFM40"), Config: conformanceConfig(60_000), Engine: engine.Event, Seed: 42, Bounded: true},
+		{Name: "PrIDE+RFM16", Scheme: mustScheme("PrIDE+RFM16"), Config: conformanceConfig(60_000), Engine: engine.Event, Seed: 42, Bounded: true},
 		// PRoHIT needs a longer trial for the search to climb past the
 		// analytic bound (its table takes time to thrash).
-		{Name: "PRoHIT", Scheme: mustScheme("PRoHIT"), Config: conformanceConfig(150_000), Seed: 42, Climbs: true},
+		{Name: "PRoHIT", Scheme: mustScheme("PRoHIT"), Config: conformanceConfig(150_000), Engine: engine.Event, Seed: 42, Climbs: true},
 		// The zoo: MINT is pattern-oblivious by construction (the insertion
 		// position is committed before the interval begins), and MOAT's
 		// deterministic ATO cap sits far below the PrIDE bound, so a guided
 		// adversary cannot climb against either.
-		{Name: "MINT", Scheme: mustScheme("MINT"), Config: conformanceConfig(60_000), Seed: 42, Bounded: true},
-		{Name: "MOAT", Scheme: mustScheme("MOAT"), Config: conformanceConfig(60_000), Seed: 42, Bounded: true},
+		{Name: "MINT", Scheme: mustScheme("MINT"), Config: conformanceConfig(60_000), Engine: engine.Event, Seed: 42, Bounded: true},
+		{Name: "MOAT", Scheme: mustScheme("MOAT"), Config: conformanceConfig(60_000), Engine: engine.Event, Seed: 42, Bounded: true},
 	}
 	if testing.Short() {
 		specs = specs[:1]

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"pride/internal/campaign"
 	"pride/internal/engine"
 	"pride/internal/patterns"
 	"pride/internal/rng"
@@ -58,11 +59,6 @@ type Config struct {
 	MigrateEvery int
 	// MaxPairs bounds the genome size.
 	MaxPairs int
-	// Engine selects the evaluation engine. The zero value is
-	// engine.Exact, the per-ACT reference; engine.Event evaluates
-	// skip-ahead trackers (PrIDE, PARA) orders of magnitude faster and
-	// falls back to the exact loop for everything else.
-	Engine engine.Kind
 }
 
 func (c Config) validate() error {
@@ -151,73 +147,34 @@ type Result struct {
 	Evaluations int
 }
 
-// ProgressSink receives coarse progress counters from a running search, one
-// update per completed epoch. internal/obs.Campaign satisfies it
-// structurally; a sink is observation-only and cannot perturb determinism.
-type ProgressSink interface {
-	// AddActivations records n freshly-simulated demand activations.
-	AddActivations(n int64)
-}
-
-// SearchOptions configures a cancellable, checkpointable, observable search
-// campaign. The zero value runs inline at trialrunner.DefaultWorkers() with
-// no checkpoint and no metering.
-type SearchOptions struct {
-	// Workers is the pool size islands are evaluated on within an epoch;
-	// 0 selects trialrunner.DefaultWorkers(). Workers never affects the
-	// result, only how fast it arrives.
-	Workers int
-	// Checkpoint enables durable resume when its Path is set. An empty Key
-	// is filled with the canonical experiment key (configuration + seed,
-	// never the worker count). The checkpoint granularity is one epoch.
-	Checkpoint trialrunner.Checkpoint
-	// Progress, when non-nil, receives per-epoch counter updates.
-	Progress ProgressSink
-	// Observer, when non-nil, receives per-epoch lifecycle callbacks.
-	Observer trialrunner.Observer
-	// Retry bounds re-execution of panicked epochs; a retried epoch replays
-	// the identical derived streams, so recovered runs stay bit-identical.
-	Retry trialrunner.RetryPolicy
-	// Faults, when non-nil, injects deterministic faults into epoch
-	// execution and checkpoint I/O (chaos testing). Production runs leave
-	// it nil.
-	Faults trialrunner.TrialFaults
-}
-
 // SearchKey is the canonical checkpoint key of a search campaign:
 // everything the evolution and evaluations depend on (configuration, scheme
 // name, seed, engine) and nothing else — never the worker count.
-func SearchKey(cfg Config, s sim.Scheme, seed uint64) string {
+func SearchKey(cfg Config, s sim.Scheme, seed uint64, eng engine.Kind) string {
 	return fmt.Sprintf("fuzz.search|scheme=%s|params=%+v|acts=%d|trh=%d|policy=%d|gens=%d|islands=%d|pop=%d|migrate=%d|maxpairs=%d|seed=%d%s",
 		s.Name, cfg.Attack.Params, cfg.Attack.ACTs, cfg.Attack.TRH, cfg.Attack.Policy,
 		cfg.Generations, cfg.Islands, cfg.Population, cfg.MigrateEvery, cfg.MaxPairs,
-		seed, engine.KeySuffix(cfg.Engine))
-}
-
-// Search runs the island-model search to completion on the calling
-// goroutine's context with default options and returns the worst pattern
-// found. It panics on an invalid configuration or a panicking evaluation,
-// keeping the historical fail-loud contract of the single-threaded climber
-// it replaced.
-func Search(cfg Config, scheme sim.Scheme, seed uint64) Result {
-	res, err := SearchCampaign(context.Background(), cfg, scheme, seed, SearchOptions{})
-	trialrunner.MustPanicFree(err)
-	return res
+		seed, engine.KeySuffix(eng))
 }
 
 // SearchCampaign runs the island-model search as a long-running campaign:
 // cancellation with graceful drain (the in-flight epoch completes and lands
 // in the checkpoint), durable epoch-granularity checkpoint/resume, and
 // progress metering. The result is bit-identical at any worker count and
-// across any interrupt/resume split.
-func SearchCampaign(ctx context.Context, cfg Config, scheme sim.Scheme, seed uint64, opts SearchOptions) (Result, error) {
+// across any interrupt/resume split. One checkpoint trial is one migration
+// epoch; opts.Workers sizes the island pool inside each epoch, and
+// opts.Engine evaluates every genome (the event engine falls back to the
+// exact loop for trackers without skip-ahead). It panics on an invalid
+// configuration.
+func SearchCampaign(ctx context.Context, cfg Config, scheme sim.Scheme, seed uint64, opts campaign.Options) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
+	cfg.Attack.SelfCheck = cfg.Attack.SelfCheck || opts.SelfCheck
 	epochs := cfg.Epochs()
 	cp := opts.Checkpoint
 	if cp.Enabled() && cp.Key == "" {
-		cp.Key = SearchKey(cfg, scheme, seed)
+		cp.Key = SearchKey(cfg, scheme, seed, opts.Engine)
 	}
 
 	// Epochs form a dependency chain (epoch e evolves epoch e-1's migrated
@@ -248,6 +205,8 @@ func SearchCampaign(ctx context.Context, cfg Config, scheme sim.Scheme, seed uin
 			return nil
 		}
 	}
+	outer := opts.Runner()
+	outer.Workers = 1
 	_, err := trialrunner.MapCheckpointedWorker(ctx, epochs,
 		func(_, e int) epochState {
 			var in []IslandState
@@ -260,14 +219,12 @@ func SearchCampaign(ctx context.Context, cfg Config, scheme sim.Scheme, seed uin
 				}
 				in = states[e-1].Islands
 			}
-			st := runEpoch(cfg, scheme, seed, e, in, opts.Workers)
+			st := runEpoch(cfg, scheme, seed, e, in, opts.Workers, opts.Engine)
 			states[e] = st
 			have[e] = true
 			return st
 		},
-		onDone,
-		trialrunner.Options{Workers: 1, Observer: opts.Observer, Retry: opts.Retry, Faults: opts.Faults},
-		cp)
+		onDone, outer, cp)
 	if err != nil {
 		return Result{}, err
 	}
@@ -290,37 +247,38 @@ func (c Config) streamIndex(e, island int) uint64 {
 	return uint64(e)*uint64(c.Islands) + uint64(island)
 }
 
-// runEpoch evolves every island for one epoch (in parallel across islands)
-// and applies the deterministic ring migration. in is nil for epoch 0
-// (islands initialize their populations) and the previous epoch's migrated
-// states otherwise.
-func runEpoch(cfg Config, scheme sim.Scheme, seed uint64, e int, in []IslandState, workers int) epochState {
-	if workers == 0 {
-		workers = trialrunner.DefaultWorkers()
-	}
+// runEpoch evolves every island for one epoch (in parallel across islands
+// on `workers` workers, 0 selecting trialrunner.DefaultWorkers()) and
+// applies the deterministic ring migration. in is nil for epoch 0 (islands
+// initialize their populations) and the previous epoch's migrated states
+// otherwise. An island panic re-panics here, failing the epoch's trial.
+func runEpoch(cfg Config, scheme sim.Scheme, seed uint64, e int, in []IslandState, workers int, eng engine.Kind) epochState {
 	gens := cfg.generationsIn(e)
-	out := trialrunner.Map(workers, cfg.Islands, func(i int) IslandState {
+	out, err := trialrunner.MapOpts(context.Background(), cfg.Islands, func(i int) IslandState {
 		r := rng.Derived(seed, cfg.streamIndex(e, i))
 		var st IslandState
 		if e == 0 {
-			st = initialIsland(cfg, scheme, r)
+			st = initialIsland(cfg, scheme, eng, r)
 		} else {
 			st = cloneIsland(in[i])
 		}
-		evolve(cfg, scheme, &st, gens, r)
+		evolve(cfg, scheme, eng, &st, gens, r)
 		return st
-	})
+	}, nil, trialrunner.Options{Workers: workers})
+	if err != nil {
+		panic(err)
+	}
 	migrate(out)
 	return epochState{Islands: out}
 }
 
 // initialIsland draws and evaluates a fresh population.
-func initialIsland(cfg Config, scheme sim.Scheme, r *rng.Stream) IslandState {
+func initialIsland(cfg Config, scheme sim.Scheme, eng engine.Kind, r *rng.Stream) IslandState {
 	rows := cfg.Attack.Params.RowsPerBank
 	st := IslandState{Members: make([]Member, cfg.Population)}
 	for i := range st.Members {
 		g := RandomGenome(rows, cfg.MaxPairs, r)
-		st.Members[i] = evaluate(cfg, scheme, g, r)
+		st.Members[i] = evaluate(cfg, scheme, eng, g, r)
 		if i == 0 || st.Members[i].Score > st.Best.Score {
 			st.Best = st.Members[i]
 		}
@@ -330,12 +288,12 @@ func initialIsland(cfg Config, scheme sim.Scheme, r *rng.Stream) IslandState {
 
 // evolve runs gens elitist mutate-evaluate generations on one island,
 // appending the best-so-far to the island's history after each.
-func evolve(cfg Config, scheme sim.Scheme, st *IslandState, gens int, r *rng.Stream) {
+func evolve(cfg Config, scheme sim.Scheme, eng engine.Kind, st *IslandState, gens int, r *rng.Stream) {
 	rows := cfg.Attack.Params.RowsPerBank
 	for g := 0; g < gens; g++ {
 		for i := range st.Members {
 			child := st.Members[i].Genome.Mutate(rows, cfg.MaxPairs, r)
-			cand := evaluate(cfg, scheme, child, r)
+			cand := evaluate(cfg, scheme, eng, child, r)
 			if cand.Score >= st.Members[i].Score {
 				st.Members[i] = cand
 			}
@@ -351,10 +309,11 @@ func evolve(cfg Config, scheme sim.Scheme, st *IslandState, gens int, r *rng.Str
 }
 
 // evaluate scores one genome: its pattern is replayed for cfg.Attack.ACTs
-// activations under a private simulation seed drawn from the island stream.
-func evaluate(cfg Config, scheme sim.Scheme, g Genome, r *rng.Stream) Member {
+// activations on engine eng under a private simulation seed drawn from the
+// island stream.
+func evaluate(cfg Config, scheme sim.Scheme, eng engine.Kind, g Genome, r *rng.Stream) Member {
 	seed := r.Uint64()
-	res := sim.RunAttackEngine(cfg.Attack, scheme, g.Build(), seed, cfg.Engine)
+	res := sim.RunAttackEngine(cfg.Attack, scheme, g.Build(), seed, eng)
 	return Member{Genome: g, Score: res.MaxDisturbance, Seed: seed}
 }
 

@@ -1,9 +1,11 @@
 package fuzz
 
 import (
+	"context"
 	"testing"
 
 	"pride/internal/analytic"
+	"pride/internal/campaign"
 	"pride/internal/dram"
 	"pride/internal/engine"
 	"pride/internal/rng"
@@ -25,13 +27,23 @@ func fuzzConfig() Config {
 		Population:   4,
 		MigrateEvery: 2,
 		MaxPairs:     8,
-		Engine:       engine.Event,
 	}
+}
+
+// search runs SearchCampaign to completion on the event engine at the
+// default worker count and fails the test on an error.
+func search(tb testing.TB, cfg Config, scheme sim.Scheme, seed uint64) Result {
+	tb.Helper()
+	res, err := SearchCampaign(context.Background(), cfg, scheme, seed, campaign.Options{Engine: engine.Event})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 func TestSearchReturnsValidResult(t *testing.T) {
 	cfg := fuzzConfig()
-	res := Search(cfg, sim.PrIDEScheme(), 1)
+	res := search(t, cfg, sim.PrIDEScheme(), 1)
 	if res.BestPattern == nil || res.BestPattern.Len() == 0 {
 		t.Fatal("no best pattern returned")
 	}
@@ -72,7 +84,7 @@ func TestSearchReturnsValidResult(t *testing.T) {
 	if res.History[len(res.History)-1] != res.BestDisturbance {
 		t.Fatalf("history tail %d != best %d", res.History[len(res.History)-1], res.BestDisturbance)
 	}
-	replay := sim.RunAttackEngine(cfg.Attack, sim.PrIDEScheme(), res.BestGenome.Build(), res.BestSeed, cfg.Engine)
+	replay := sim.RunAttackEngine(cfg.Attack, sim.PrIDEScheme(), res.BestGenome.Build(), res.BestSeed, engine.Event)
 	if replay.MaxDisturbance != res.BestDisturbance {
 		t.Fatalf("replaying best genome under its seed gave %d, search reported %d",
 			replay.MaxDisturbance, res.BestDisturbance)
@@ -83,7 +95,7 @@ func TestPrIDEResistsGuidedSearch(t *testing.T) {
 	// The headline: even a guided adversary cannot push PrIDE past its
 	// analytic TRH*. (The paper evaluates 500 random patterns; this is
 	// the stronger, search-based statement.)
-	res := Search(fuzzConfig(), sim.PrIDEScheme(), 2)
+	res := search(t, fuzzConfig(), sim.PrIDEScheme(), 2)
 	bound := analytic.EvaluateScheme(analytic.SchemePrIDE, fuzzParams(), analytic.DefaultTargetTTFYears)
 	if float64(res.BestDisturbance) > bound.TRHStar {
 		t.Fatalf("guided search pushed PrIDE to %d, above TRH* %.0f",
@@ -99,8 +111,8 @@ func TestSearchClimbsAgainstPRoHIT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resP := Search(cfg, prohit, 3)
-	resPride := Search(cfg, sim.PrIDEScheme(), 3)
+	resP := search(t, cfg, prohit, 3)
+	resPride := search(t, cfg, sim.PrIDEScheme(), 3)
 	if resP.BestDisturbance <= resPride.BestDisturbance {
 		t.Fatalf("search against PRoHIT (%d) found nothing worse than PrIDE (%d)",
 			resP.BestDisturbance, resPride.BestDisturbance)
@@ -115,7 +127,7 @@ func TestSearchKeyCoversEvolutionInputs(t *testing.T) {
 	key := func(mutate func(*Config)) string {
 		cfg := base
 		mutate(&cfg)
-		return SearchKey(cfg, sim.PrIDEScheme(), 1)
+		return SearchKey(cfg, sim.PrIDEScheme(), 1, engine.Event)
 	}
 	ref := key(func(*Config) {})
 	mutations := map[string]func(*Config){
@@ -125,17 +137,19 @@ func TestSearchKeyCoversEvolutionInputs(t *testing.T) {
 		"migrate":     func(c *Config) { c.MigrateEvery++ },
 		"maxpairs":    func(c *Config) { c.MaxPairs++ },
 		"acts":        func(c *Config) { c.Attack.ACTs++ },
-		"engine":      func(c *Config) { c.Engine = engine.Exact },
 	}
 	for name, m := range mutations {
 		if key(m) == ref {
 			t.Errorf("changing %s did not change the checkpoint key", name)
 		}
 	}
-	if SearchKey(base, sim.PrIDEScheme(), 2) == ref {
+	if SearchKey(base, sim.PrIDEScheme(), 1, engine.Exact) == ref {
+		t.Error("changing the engine did not change the checkpoint key")
+	}
+	if SearchKey(base, sim.PrIDEScheme(), 2, engine.Event) == ref {
 		t.Error("changing the seed did not change the checkpoint key")
 	}
-	if SearchKey(base, sim.TRRScheme(), 1) == ref {
+	if SearchKey(base, sim.TRRScheme(), 1, engine.Event) == ref {
 		t.Error("changing the scheme did not change the checkpoint key")
 	}
 }
@@ -247,7 +261,7 @@ func TestSearchPanicsOnBadConfig(t *testing.T) {
 					t.Fatalf("case %d: expected panic", i)
 				}
 			}()
-			Search(cfg, sim.PrIDEScheme(), 1)
+			SearchCampaign(context.Background(), cfg, sim.PrIDEScheme(), 1, campaign.Options{})
 		}()
 	}
 }

@@ -4,89 +4,15 @@ import (
 	"context"
 	"fmt"
 
+	"pride/internal/campaign"
 	"pride/internal/engine"
-	"pride/internal/guard"
 	"pride/internal/rng"
 	"pride/internal/trialrunner"
 )
 
-// ProgressSink receives coarse progress counters from a running campaign,
-// one update per completed chunk. internal/obs.Campaign satisfies it
-// structurally; the engine never imports the metrics package, and a sink can
-// never feed anything back into the simulation, so metering cannot perturb
-// the bit-for-bit determinism guarantees.
-type ProgressSink interface {
-	// AddPeriods records n freshly-simulated tREFI windows.
-	AddPeriods(n int64)
-	// AddMitigations records n mitigations issued by the tracker.
-	AddMitigations(n int64)
-}
-
-// CampaignOptions configures a cancellable, checkpointable, observable
-// campaign. The zero value behaves exactly like the plain Parallel entry
-// points at trialrunner.DefaultWorkers(): no checkpoint, no metering.
-type CampaignOptions struct {
-	// Workers is the pool size; 0 selects trialrunner.DefaultWorkers().
-	// Workers never affects the result, only how fast it arrives.
-	Workers int
-	// Checkpoint enables durable resume when its Path is set. An empty Key
-	// is filled with the experiment's canonical key (configuration + seed,
-	// never the worker count), so a resume is safe across -workers changes
-	// but rejected across configuration changes.
-	Checkpoint trialrunner.Checkpoint
-	// Progress, when non-nil, receives per-chunk counter updates.
-	Progress ProgressSink
-	// Observer, when non-nil, receives per-trial lifecycle callbacks
-	// (internal/obs.Campaign implements both roles).
-	Observer trialrunner.Observer
-	// Engine selects the simulation engine: engine.Exact (the zero value)
-	// steps every activation slot; engine.Event advances directly to the
-	// next insertion via geometric skip-ahead. The two produce
-	// statistically — not bit-for-bit — equivalent results, so the
-	// canonical checkpoint key embeds the engine and a campaign never
-	// resumes across an engine switch.
-	Engine engine.Kind
-	// SelfCheck enables runtime invariant guards in the simulation engines
-	// (-selfcheck). An event-engine trial whose guard trips is re-run on
-	// the exact engine (the divergence counted via AddEngineFallbacks on
-	// Progress) instead of aborting the campaign.
-	SelfCheck bool
-	// Retry bounds re-execution of panicked/errored trials; see
-	// trialrunner.RetryPolicy. Zero keeps single-attempt semantics.
-	Retry trialrunner.RetryPolicy
-	// Faults, when non-nil, injects deterministic faults into trial
-	// execution and checkpoint I/O (chaos testing; faultinject.Injector
-	// implements it). Production runs leave it nil.
-	Faults trialrunner.TrialFaults
-}
-
-func (o CampaignOptions) runnerOpts() trialrunner.Options {
-	return trialrunner.Options{Workers: o.Workers, Observer: o.Observer, Retry: o.Retry, Faults: o.Faults}
-}
-
-// fallbackSink is the optional Progress capability for counting event→exact
-// engine fallbacks (internal/obs.Campaign implements it).
-type fallbackSink interface{ AddEngineFallbacks(n int64) }
-
-// engineTripper is the optional Faults capability that forces an invariant
-// trip for a given trial index (faultinject.Injector implements it).
-type engineTripper interface{ EngineTrip(trial uint64) bool }
-
-// tripForced reports whether the fault schedule forces an engine trip on
-// trial i.
-func (o CampaignOptions) tripForced(i int) bool {
-	if et, ok := o.Faults.(engineTripper); ok {
-		return et.EngineTrip(uint64(i))
-	}
-	return false
-}
-
-// countFallback records one event→exact fallback on the progress sink.
-func (o CampaignOptions) countFallback() {
-	if fs, ok := o.Progress.(fallbackSink); ok {
-		fs.AddEngineFallbacks(1)
-	}
-}
+// CampaignOptions is the campaign contract every campaign shares; see
+// campaign.Options.
+type CampaignOptions = campaign.Options
 
 // LossCampaignKey is the canonical checkpoint key of a loss campaign: every
 // parameter the chunk plan, per-chunk RNG streams, and per-chunk draw
@@ -116,16 +42,23 @@ func (r LossResult) totalMitigations() int64 {
 	return total
 }
 
-// SimulateLossCampaign is SimulateLossParallel as a long-running campaign:
-// the same chunk plan and index-derived RNG streams (so the merged result is
-// bit-for-bit identical to the Parallel and serial engines), plus
-// cancellation with graceful drain, per-chunk panic isolation, durable
-// checkpoint/resume, and progress metering.
+// SimulateLossCampaign shards cfg.Periods into independent chunks and runs
+// them as a long-running campaign, merging per-position and occupancy
+// counters in chunk order. Chunk i always consumes stream
+// rng.Derived(seed, i), so the result is a pure function of (cfg, seed,
+// engine): the worker count only changes how fast it arrives. The estimator
+// is the same unbiased one as SimulateLoss; the only difference from one
+// long serial stream is that each chunk restarts from an empty FIFO, a
+// warm-up transient of tens of windows per >=4096-window chunk. The
+// cross-validation tests hold the campaign to the exact DP model with the
+// same tolerances as the serial estimator.
 //
-// When ctx is cancelled, in-flight chunks finish, land in the checkpoint
-// (when enabled), and the error wraps ctx.Err(); rerunning the identical
-// campaign resumes from the completed chunks and returns a result
-// bit-identical to an uninterrupted run at any worker count.
+// The campaign cancels with graceful drain, isolates per-chunk panics,
+// checkpoints durably and meters progress. When ctx is cancelled,
+// in-flight chunks finish, land in the checkpoint (when enabled), and the
+// error wraps ctx.Err(); rerunning the identical campaign resumes from the
+// completed chunks and returns a result bit-identical to an uninterrupted
+// run at any worker count.
 func SimulateLossCampaign(ctx context.Context, cfg LossConfig, seed uint64, opts CampaignOptions) (LossResult, error) {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -147,104 +80,23 @@ func SimulateLossCampaign(ctx context.Context, cfg LossConfig, seed uint64, opts
 	// One scratch arena per worker index: chunks run by the same worker
 	// reuse the FIFO buffer. Scratch never reaches a result, so worker-count
 	// invariance is untouched.
-	ropts := opts.runnerOpts()
+	ropts := opts.Runner()
 	scratch := make([]lossScratch, ropts.PoolSize(len(sizes)))
-	return trialrunner.RunCheckpointedWorker(ctx, len(sizes),
-		func(worker, i int) LossResult {
-			c := cfg
-			c.Periods = sizes[i]
-			if opts.Engine != engine.Event {
-				return simulateLoss(c, rng.Derived(seed, uint64(i)), &scratch[worker])
-			}
-			// Guarded event run: a tripped invariant (real or injected)
-			// falls back to the exact reference engine on a fresh stream
-			// derived from the same trial index, so the campaign degrades
-			// gracefully instead of aborting.
-			forced := opts.tripForced(i)
-			r, v := guard.Run(func() LossResult {
-				if forced {
-					guard.Failf("montecarlo.event", "forced-trip", "injected engine trip (trial %d)", i)
-				}
-				return simulateLossEvent(c, rng.Derived(seed, uint64(i)), &scratch[worker])
-			})
-			if v == nil {
-				return r
-			}
-			opts.countFallback()
-			return simulateLoss(c, rng.Derived(seed, uint64(i)), &scratch[worker])
-		},
-		func(acc, next LossResult) LossResult {
-			acc.merge(next)
-			return acc
-		},
-		onDone, ropts, cp)
-}
-
-// RoundsCampaignKey is the canonical checkpoint key of a round-failure
-// campaign; like LossCampaignKey it embeds the engine, with the exact
-// engine keeping the historical spelling.
-func RoundsCampaignKey(cfg RoundConfig, seed uint64, eng engine.Kind) string {
-	return fmt.Sprintf("montecarlo.rounds|n=%d|w=%d|p=%g|trh=%d|rounds=%d|seed=%d%s",
-		cfg.Entries, cfg.Window, cfg.InsertionProb, cfg.TRH, cfg.Rounds, seed, engine.KeySuffix(eng))
-}
-
-// RoundsCampaignTrials reports how many chunks a rounds campaign runs.
-func RoundsCampaignTrials(cfg RoundConfig) int {
-	if cfg.Rounds <= 0 {
-		panic(fmt.Sprintf("montecarlo: invalid round config %+v", cfg))
+	results, err := trialrunner.MapCheckpointedWorker(ctx, len(sizes), func(worker, i int) LossResult {
+		c := cfg
+		c.Periods = sizes[i]
+		// Both engines start from a fresh stream derived from the chunk
+		// index, so a tripped event chunk re-runs as the exact chunk.
+		return campaign.Trial(opts, "montecarlo.event", i,
+			func() LossResult { return simulateLoss(c, rng.Derived(seed, uint64(i)), &scratch[worker]) },
+			func() LossResult { return simulateLossEvent(c, rng.Derived(seed, uint64(i)), &scratch[worker]) })
+	}, onDone, ropts, cp)
+	if err != nil {
+		return LossResult{}, err
 	}
-	return len(chunkSizes(cfg.Rounds, minRoundChunk))
-}
-
-// SimulateRoundsCampaign is SimulateRoundsParallel as a campaign, with the
-// same cancellation/checkpoint/metering contract as SimulateLossCampaign.
-// Progress reports each chunk's activation slots as window-equivalents
-// (rounds x TRH / W, an upper bound since rounds end early on mitigation)
-// and every non-failing round as one mitigation of the aggressor.
-func SimulateRoundsCampaign(ctx context.Context, cfg RoundConfig, seed uint64, opts CampaignOptions) (RoundResult, error) {
-	if cfg.Rounds <= 0 {
-		panic(fmt.Sprintf("montecarlo: invalid round config %+v", cfg))
+	acc := results[0]
+	for _, r := range results[1:] {
+		acc.merge(r)
 	}
-	cp := opts.Checkpoint
-	if cp.Key == "" {
-		cp.Key = RoundsCampaignKey(cfg, seed, opts.Engine)
-	}
-	cfg.SelfCheck = cfg.SelfCheck || opts.SelfCheck
-	sizes := chunkSizes(cfg.Rounds, minRoundChunk)
-	var onDone func(i int, r RoundResult) error
-	if sink := opts.Progress; sink != nil {
-		onDone = func(i int, r RoundResult) error {
-			sink.AddPeriods(int64(r.Rounds) * int64(cfg.TRH) / int64(cfg.Window))
-			sink.AddMitigations(int64(r.Rounds - r.Failures))
-			return nil
-		}
-	}
-	ropts := opts.runnerOpts()
-	scratch := make([]roundScratch, ropts.PoolSize(len(sizes)))
-	return trialrunner.RunCheckpointedWorker(ctx, len(sizes),
-		func(worker, i int) RoundResult {
-			c := cfg
-			c.Rounds = sizes[i]
-			if opts.Engine != engine.Event {
-				return simulateRounds(c, rng.Derived(seed, uint64(i)), &scratch[worker])
-			}
-			forced := opts.tripForced(i)
-			r, v := guard.Run(func() RoundResult {
-				if forced {
-					guard.Failf("montecarlo.event", "forced-trip", "injected engine trip (trial %d)", i)
-				}
-				return simulateRoundsEvent(c, rng.Derived(seed, uint64(i)), &scratch[worker])
-			})
-			if v == nil {
-				return r
-			}
-			opts.countFallback()
-			return simulateRounds(c, rng.Derived(seed, uint64(i)), &scratch[worker])
-		},
-		func(acc, next RoundResult) RoundResult {
-			acc.Rounds += next.Rounds
-			acc.Failures += next.Failures
-			return acc
-		},
-		onDone, ropts, cp)
+	return acc, nil
 }

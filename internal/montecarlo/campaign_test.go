@@ -16,7 +16,7 @@ func checkpointAt(path string) trialrunner.Checkpoint {
 	return trialrunner.Checkpoint{Path: path}
 }
 
-// cancellingSink is a ProgressSink that cancels a context after a fixed
+// cancellingSink is a campaign.Sink that cancels a context after a fixed
 // number of chunk completions — the test stand-in for a SIGINT landing
 // mid-campaign.
 type cancellingSink struct {
@@ -38,6 +38,10 @@ func (s *cancellingSink) AddPeriods(n int64) {
 	}
 }
 
+// AddActivations is a no-op: the loss campaign counts periods, not
+// activations.
+func (s *cancellingSink) AddActivations(int64) {}
+
 func (s *cancellingSink) AddMitigations(n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -46,7 +50,7 @@ func (s *cancellingSink) AddMitigations(n int64) {
 
 func TestLossCampaignMatchesParallel(t *testing.T) {
 	c := cfg(2, 12*4096)
-	want := SimulateLossParallel(c, 99, 3)
+	want := lossCampaign(t, c, 99, 3)
 	got, err := SimulateLossCampaign(context.Background(), c, 99, CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +81,7 @@ func TestLossCampaignProgressTotals(t *testing.T) {
 func TestLossCampaignResumeIsBitIdentical(t *testing.T) {
 	c := cfg(2, 16*4096)
 	const seed = 42
-	want := SimulateLossParallel(c, seed, 1)
+	want := lossCampaign(t, c, seed, 1)
 
 	cancelPoints := []int{1, 8, 15}
 	if testing.Short() {
@@ -130,31 +134,5 @@ func TestLossCampaignRejectsForeignCheckpoint(t *testing.T) {
 	_, err := SimulateLossCampaign(context.Background(), c, 8, CampaignOptions{Workers: 1, Checkpoint: checkpointAt(path)})
 	if err == nil {
 		t.Fatal("campaign resumed a checkpoint written under a different seed")
-	}
-}
-
-func TestRoundsCampaignResumeIsBitIdentical(t *testing.T) {
-	rc := RoundConfig{Entries: 2, Window: w79, InsertionProb: 1.0 / w79, TRH: 500, Rounds: 8 * 512}
-	const seed = 11
-	want := SimulateRoundsParallel(rc, seed, 1)
-
-	path := filepath.Join(t.TempDir(), "rounds.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	sink := &cancellingSink{cancel: cancel, cancelAfter: 3}
-	_, err := SimulateRoundsCampaign(ctx, rc, seed, CampaignOptions{Workers: 2, Checkpoint: checkpointAt(path), Progress: sink})
-	cancel()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-
-	got, err := SimulateRoundsCampaign(context.Background(), rc, seed, CampaignOptions{Workers: 3, Checkpoint: checkpointAt(path)})
-	if err != nil {
-		t.Fatalf("resume failed: %v", err)
-	}
-	if got != want {
-		t.Fatalf("resumed rounds result %+v differs from uninterrupted %+v", got, want)
-	}
-	if sink.mitigations != int64(0) && sink.mitigations > int64(rc.Rounds) {
-		t.Fatalf("sink mitigations %d exceed round count %d", sink.mitigations, rc.Rounds)
 	}
 }

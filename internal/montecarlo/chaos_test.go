@@ -120,31 +120,6 @@ func TestForcedTripEveryTrialFallsBackToExact(t *testing.T) {
 	}
 }
 
-// TestRoundsForcedTripFallsBackToExact covers the same contract for the
-// round-failure campaign shape.
-func TestRoundsForcedTripFallsBackToExact(t *testing.T) {
-	cfg := RoundConfig{Entries: 4, Window: 16, InsertionProb: 0.5, TRH: 64, Rounds: 2048}
-	const seed = 3
-	exact, err := SimulateRoundsCampaign(context.Background(), cfg, seed,
-		CampaignOptions{Workers: 2, Engine: engine.Exact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faultinject.New(1)
-	inj.Arm(faultinject.SiteEngineTrip, faultinject.Trigger{Every: 1})
-	got, err := SimulateRoundsCampaign(context.Background(), cfg, seed, CampaignOptions{
-		Workers: 2,
-		Engine:  engine.Event,
-		Faults:  inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, exact) {
-		t.Fatal("tripped-everywhere rounds campaign differs from the exact campaign")
-	}
-}
-
 // TestSelfCheckInvariance pins that enabling the runtime guards never
 // changes a simulation result — the guards read state, they never write it.
 // A healthy engine must also never trip one.

@@ -85,7 +85,7 @@ func TestCrossValidateParallelWorstPositionLoss(t *testing.T) {
 			want += pi[x] * model.LossFromStart(x, 1)
 		}
 
-		res := SimulateLossParallel(LossConfig{
+		res := lossCampaign(t, LossConfig{
 			Entries: n, Window: w, InsertionProb: p, Periods: 60_000,
 		}, seed, 4)
 		s := res.PerPosition[0]
@@ -110,7 +110,7 @@ func TestCrossValidateParallelOccupancyChain(t *testing.T) {
 		w := int(wRaw%50) + 30
 		p := 1 / float64(w)
 		want := analytic.NewLossModel(n, w, p).StationaryOccupancy()
-		res := SimulateLossParallel(LossConfig{
+		res := lossCampaign(t, LossConfig{
 			Entries: n, Window: w, InsertionProb: p, Periods: 40_000,
 		}, seed, 4)
 		got := res.OccupancyDistribution()

@@ -164,10 +164,6 @@ func simulateLossEvent(cfg LossConfig, r *rng.Stream, sc *lossScratch) LossResul
 // (0-based; B = 0 when TRH < W means no boundary fires and every round
 // fails). One geometric draw decides each round.
 func SimulateRoundsEvent(cfg RoundConfig, r *rng.Stream) RoundResult {
-	return simulateRoundsEvent(cfg, r, &roundScratch{})
-}
-
-func simulateRoundsEvent(cfg RoundConfig, r *rng.Stream, _ *roundScratch) RoundResult {
 	if cfg.Entries <= 0 || cfg.Window <= 0 || cfg.TRH <= 0 || cfg.Rounds <= 0 {
 		panic(fmt.Sprintf("montecarlo: invalid round config %+v", cfg))
 	}

@@ -236,19 +236,6 @@ func TestEventCampaignWorkerInvariance(t *testing.T) {
 			t.Fatalf("event campaign at %d workers differs from 1 worker", workers)
 		}
 	}
-
-	rc := RoundConfig{Entries: 2, Window: w79, InsertionProb: 1.0 / w79, TRH: 400, Rounds: 6 * 512}
-	a, err := SimulateRoundsCampaign(context.Background(), rc, 9, CampaignOptions{Workers: 1, Engine: engine.Event})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateRoundsCampaign(context.Background(), rc, 9, CampaignOptions{Workers: 4, Engine: engine.Event})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("event rounds campaign: %+v at 1 worker, %+v at 4", a, b)
-	}
 }
 
 // TestEventCampaignResumeIsBitIdentical is the event-engine version of the
@@ -289,10 +276,6 @@ func TestEngineKeysSeparateCheckpoints(t *testing.T) {
 	c := cfg(2, 8*4096)
 	if LossCampaignKey(c, 1, engine.Exact) == LossCampaignKey(c, 1, engine.Event) {
 		t.Fatal("loss keys identical across engines")
-	}
-	rc := RoundConfig{Entries: 2, Window: w79, InsertionProb: 1.0 / w79, TRH: 400, Rounds: 512}
-	if RoundsCampaignKey(rc, 1, engine.Exact) == RoundsCampaignKey(rc, 1, engine.Event) {
-		t.Fatal("rounds keys identical across engines")
 	}
 
 	// Write a partial exact-engine checkpoint, then try to resume it as an

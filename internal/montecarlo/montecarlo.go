@@ -231,26 +231,6 @@ func (r RoundResult) FailureProb() float64 {
 // else — the pessimistic single-row round of Section III-A. The measured
 // probability must not exceed the analytic (1-p̂)^(TRH-tardiness) bound.
 func SimulateRounds(cfg RoundConfig, r *rng.Stream) RoundResult {
-	return simulateRounds(cfg, r, &roundScratch{})
-}
-
-// slot is a FIFO slot of the round simulation.
-type slot struct{ row int }
-
-// roundScratch is the reusable working storage of one round-simulation
-// trial, mirroring lossScratch.
-type roundScratch struct {
-	buf []slot
-}
-
-func (s *roundScratch) entries(n int) []slot {
-	if cap(s.buf) < n {
-		s.buf = make([]slot, n)
-	}
-	return s.buf[:n]
-}
-
-func simulateRounds(cfg RoundConfig, r *rng.Stream, sc *roundScratch) RoundResult {
 	if cfg.Entries <= 0 || cfg.Window <= 0 || cfg.TRH <= 0 || cfg.Rounds <= 0 {
 		panic(fmt.Sprintf("montecarlo: invalid round config %+v", cfg))
 	}
@@ -264,7 +244,7 @@ func simulateRounds(cfg RoundConfig, r *rng.Stream, sc *roundScratch) RoundResul
 
 	res := RoundResult{Rounds: cfg.Rounds}
 	insertT := rng.NewThreshold(cfg.InsertionProb)
-	buf := sc.entries(cfg.Entries)
+	buf := make([]slot, cfg.Entries)
 	for round := 0; round < cfg.Rounds; round++ {
 		ptr, occ := 0, 0
 		mitigated := false
@@ -296,3 +276,6 @@ func simulateRounds(cfg RoundConfig, r *rng.Stream, sc *roundScratch) RoundResul
 	}
 	return res
 }
+
+// slot is a FIFO slot of the round simulation.
+type slot struct{ row int }

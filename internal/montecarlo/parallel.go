@@ -1,11 +1,5 @@
 package montecarlo
 
-import (
-	"context"
-
-	"pride/internal/trialrunner"
-)
-
 // Sharding plan: a simulation budget is cut into independent chunks, each
 // driven by its own index-derived RNG stream (rng.Derived(seed, chunk)).
 // The plan is a pure function of the budget — never of the worker count —
@@ -21,10 +15,6 @@ const (
 	// minLossChunkPeriods floors the chunk size so tiny budgets are not
 	// atomized (the warm-up transient is tens of windows per chunk).
 	minLossChunkPeriods = 4096
-	// minRoundChunk floors the per-chunk round count; rounds carry no
-	// cross-round state at all, so the floor only bounds scheduling
-	// overhead.
-	minRoundChunk = 512
 )
 
 // chunkSizes cuts total into deterministic shard sizes of at least minChunk,
@@ -53,43 +43,4 @@ func (r *LossResult) merge(o LossResult) {
 	for i := range o.StartOccupancy {
 		r.StartOccupancy[i] += o.StartOccupancy[i]
 	}
-}
-
-// SimulateLossParallel shards cfg.Periods into independent chunks and runs
-// them on `workers` goroutines, merging per-position and occupancy counters
-// in chunk order. Chunk i always consumes stream rng.Derived(seed, i), so
-// the result is a pure function of (cfg, seed): workers only changes how
-// fast it arrives. workers == 1 runs every chunk inline on the calling
-// goroutine.
-//
-// The estimator is the same unbiased one as SimulateLoss; the only
-// difference from one long serial stream is that each chunk restarts from an
-// empty FIFO, a warm-up transient of tens of windows per >=4096-window
-// chunk. The cross-validation tests hold the parallel engine to the exact DP
-// model with the same tolerances as the serial one.
-//
-// This is the fail-loud convenience form of SimulateLossCampaign: no
-// cancellation, no checkpoint, and a panicking chunk takes the process down
-// with a stack naming the chunk.
-func SimulateLossParallel(cfg LossConfig, seed uint64, workers int) LossResult {
-	if err := trialrunner.ValidateWorkers(workers); err != nil {
-		panic(err)
-	}
-	res, err := SimulateLossCampaign(context.Background(), cfg, seed, CampaignOptions{Workers: workers})
-	trialrunner.MustPanicFree(err)
-	return res
-}
-
-// SimulateRoundsParallel shards cfg.Rounds across `workers` goroutines.
-// Rounds are fully independent (each resets the tracker), so sharding is
-// exact, not merely unbiased: the chunk plan and per-chunk streams depend
-// only on (cfg, seed) and the merged counts are worker-count invariant.
-// Fail-loud convenience form of SimulateRoundsCampaign.
-func SimulateRoundsParallel(cfg RoundConfig, seed uint64, workers int) RoundResult {
-	if err := trialrunner.ValidateWorkers(workers); err != nil {
-		panic(err)
-	}
-	res, err := SimulateRoundsCampaign(context.Background(), cfg, seed, CampaignOptions{Workers: workers})
-	trialrunner.MustPanicFree(err)
-	return res
 }

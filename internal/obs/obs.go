@@ -4,9 +4,9 @@
 // of every live campaign under one expvar variable, and a periodic
 // structured-log progress line.
 //
-// A Campaign implements trialrunner.Observer (TrialStart/TrialEnd) plus the
-// engines' progress sinks (AddPeriods/AddMitigations/AddActivations), so a
-// single value threads through the whole stack. Observation is one-way: a
+// A Campaign implements trialrunner.Observer (TrialStart/TrialEnd) plus
+// campaign.Sink (AddPeriods/AddActivations/AddMitigations) and its optional
+// capabilities, so a single value threads through the whole stack. Observation is one-way: a
 // Campaign never feeds anything back into the simulation, so metering cannot
 // perturb the bit-for-bit determinism guarantees.
 package obs
@@ -82,22 +82,21 @@ func (c *Campaign) TrialEnd(_ int, d time.Duration) {
 // interrupted run left off.
 func (c *Campaign) SkipTrials(n int) { c.trialsSkipped.Add(int64(n)) }
 
-// AddPeriods records n simulated tREFI periods (montecarlo.ProgressSink,
-// system.ProgressSink).
+// AddPeriods records n simulated tREFI periods (campaign.Sink).
 func (c *Campaign) AddPeriods(n int64) { c.periods.Add(n) }
 
 // AddMitigations records n mitigations issued.
 func (c *Campaign) AddMitigations(n int64) { c.mitigations.Add(n) }
 
-// AddActivations records n simulated demand activations (sim.ProgressSink).
+// AddActivations records n simulated demand activations (campaign.Sink).
 func (c *Campaign) AddActivations(n int64) { c.activations.Add(n) }
 
-// AddRecords records n trace records demuxed by a replay frontend
-// (system.ReplaySink).
+// AddRecords records n trace records demuxed by a replay frontend (an
+// optional campaign.Sink capability of system.Topology.ReplayCampaign).
 func (c *Campaign) AddRecords(n int64) { c.records.Add(n) }
 
-// AddBytes records n trace bytes consumed by a replay frontend
-// (system.ReplaySink).
+// AddBytes records n trace bytes consumed by a replay frontend (an
+// optional campaign.Sink capability of system.Topology.ReplayCampaign).
 func (c *Campaign) AddBytes(n int64) { c.bytes.Add(n) }
 
 // AddTrialRetries records n retried trial attempts (trialrunner's retry

@@ -45,9 +45,11 @@ import (
 	"sync"
 	"time"
 
+	"pride/internal/campaign"
 	"pride/internal/faultinject"
 	"pride/internal/obs"
 	"pride/internal/rng"
+	"pride/internal/system"
 	"pride/internal/trialrunner"
 )
 
@@ -335,12 +337,18 @@ func (s *Server) runJob(j *Job) {
 		}
 		lastErr = err
 		s.logf("job id=%s kind=%s attempt=%d err=%q", j.ID, j.Kind, a+1, err)
+		if errors.Is(err, system.ErrStreamChanged) {
+			// The trace file no longer holds the stream the job was filed
+			// under; every retry would read it whole to fail the same way.
+			break
+		}
 	}
 	s.mu.Lock()
 	j.State = StateFailed
-	j.Error = fmt.Sprintf("failed after %d attempt(s): %v", maxAttempts, lastErr)
+	j.Error = fmt.Sprintf("failed after %d attempt(s): %v", j.Attempts, lastErr)
+	attempts := j.Attempts
 	s.mu.Unlock()
-	s.logf("job id=%s kind=%s state=%s attempts=%d err=%q", j.ID, j.Kind, StateFailed, maxAttempts, lastErr)
+	s.logf("job id=%s kind=%s state=%s attempts=%d err=%q", j.ID, j.Kind, StateFailed, attempts, lastErr)
 }
 
 // backoff sleeps the exponential pause before retry attempt a, with
@@ -387,17 +395,23 @@ func (s *Server) attempt(j *Job, a int) (res any, campaignKey string, err error)
 		actx, cancel = context.WithTimeout(actx, s.retry.Deadline)
 	}
 	defer cancel()
-	workers := j.spec.Workers
-	if workers == 0 {
-		workers = s.cfg.CampaignWorkers
+	opts := campaign.Options{
+		Workers:    j.spec.Workers,
+		Checkpoint: trialrunner.Checkpoint{Path: filepath.Join(s.ckptDir, j.ID+".ckpt")},
+		Progress:   s.camp,
+		Observer:   s.camp,
+		Engine:     j.prep.engine,
+		SelfCheck:  j.spec.SelfCheck,
+		Retry:      j.spec.trialRetry(),
 	}
-	res, campaignKey, err = j.prep.run(actx, runOpts{
-		workers:    workers,
-		checkpoint: trialrunner.Checkpoint{Path: filepath.Join(s.ckptDir, j.ID+".ckpt")},
-		retry:      j.spec.trialRetry(),
-		faults:     s.cfg.Faults,
-		camp:       s.camp,
-	})
+	if opts.Workers == 0 {
+		opts.Workers = s.cfg.CampaignWorkers
+	}
+	if s.cfg.Faults != nil {
+		// Never a typed-nil interface: the campaigns test Faults == nil.
+		opts.Faults = s.cfg.Faults
+	}
+	res, campaignKey, err = j.prep.run(actx, opts)
 	if err != nil && s.runCtx.Err() == nil && errors.Is(actx.Err(), context.DeadlineExceeded) {
 		// The attempt's own deadline fired, not a drain. The campaign
 		// checkpointed its completed trials on the way out, so the retry

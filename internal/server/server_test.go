@@ -218,6 +218,11 @@ func TestRewrittenTraceFailsAndStoresNothing(t *testing.T) {
 	if failed.State != StateFailed || !strings.Contains(failed.Error, submitted) || !strings.Contains(failed.Error, rewritten) {
 		t.Fatalf("job over a rewritten trace = %s (%s), want failed naming %q and %q", failed.State, failed.Error, submitted, rewritten)
 	}
+	// A changed stream fails the same way on every attempt, so the job
+	// reads the file once instead of once per retry.
+	if failed.Attempts != 1 || !strings.Contains(failed.Error, "failed after 1 attempt(s)") {
+		t.Fatalf("job over a rewritten trace made %d attempt(s) (%s), want 1", failed.Attempts, failed.Error)
+	}
 	for _, key := range []string{submitted, rewritten} {
 		if _, ok, err := s.store.Get(key); ok || err != nil {
 			t.Fatalf("store holds a result under %q (ok=%v err=%v)", key, ok, err)

@@ -7,11 +7,10 @@ import (
 	"os"
 
 	"pride/internal/addrmap"
+	"pride/internal/campaign"
 	"pride/internal/dram"
 	"pride/internal/engine"
-	"pride/internal/faultinject"
 	"pride/internal/montecarlo"
-	"pride/internal/obs"
 	"pride/internal/patterns"
 	"pride/internal/sim"
 	"pride/internal/system"
@@ -117,33 +116,17 @@ type ReplaySpec struct {
 	TRH int `json:"trh"`
 }
 
-// runOpts carries the server-side execution environment into a prepared
-// campaign run. Nothing in it reaches a result.
-type runOpts struct {
-	workers    int
-	checkpoint trialrunner.Checkpoint
-	retry      trialrunner.RetryPolicy
-	faults     *faultinject.Injector
-	camp       *obs.Campaign
-}
-
-// campaignFaults narrows the server's injector to the campaigns' Faults
-// field without ever producing a typed-nil interface.
-func (o runOpts) campaignFaults() trialrunner.TrialFaults {
-	if o.faults == nil {
-		return nil
-	}
-	return o.faults
-}
-
 // prepared is a validated, runnable form of a Spec: the key the job is
-// filed under and a run function producing the JSON-encodable result and
-// the campaign's checkpoint key (the exact key the equivalent CLI run would
-// use). The two keys are the same except for a generated replay job, which
-// is filed under its spec and learns its campaign key only by running.
+// filed under, the engine the campaign runs on, and a run function
+// producing the JSON-encodable result and the campaign's checkpoint key
+// (the exact key the equivalent CLI run would use). The two keys are the
+// same except for a generated replay job, which is filed under its spec
+// and learns its campaign key only by running. run receives the campaign
+// options of one attempt, which never change a result.
 type prepared struct {
-	key string
-	run func(ctx context.Context, o runOpts) (res any, campaignKey string, err error)
+	key    string
+	engine engine.Kind
+	run    func(ctx context.Context, o campaign.Options) (res any, campaignKey string, err error)
 }
 
 // engineKind resolves the spec's engine string.
@@ -230,7 +213,6 @@ func (s Spec) prepareSecurity() (prepared, error) {
 		Window:        sub.Window,
 		InsertionProb: sub.InsertionProb,
 		Periods:       sub.Periods,
-		SelfCheck:     s.SelfCheck,
 	}
 	if err := cfg.Validate(); err != nil {
 		return prepared{}, err
@@ -242,21 +224,10 @@ func (s Spec) prepareSecurity() (prepared, error) {
 	seed := s.Seed
 	key := montecarlo.LossCampaignKey(cfg, seed, eng)
 	return prepared{
-		key: key,
-		run: func(ctx context.Context, o runOpts) (any, string, error) {
-			copts := montecarlo.CampaignOptions{
-				Workers:    o.workers,
-				Checkpoint: o.checkpoint,
-				Engine:     eng,
-				SelfCheck:  s.SelfCheck,
-				Retry:      o.retry,
-				Faults:     o.campaignFaults(),
-			}
-			if o.camp != nil {
-				copts.Progress = o.camp
-				copts.Observer = o.camp
-			}
-			res, err := montecarlo.SimulateLossCampaign(ctx, cfg, seed, copts)
+		key:    key,
+		engine: eng,
+		run: func(ctx context.Context, o campaign.Options) (any, string, error) {
+			res, err := montecarlo.SimulateLossCampaign(ctx, cfg, seed, o)
 			if err != nil {
 				return nil, "", err
 			}
@@ -280,12 +251,7 @@ func (s Spec) prepareAttack() (prepared, error) {
 	if sub.Patterns < 1 || sub.Seeds < 1 {
 		return prepared{}, fmt.Errorf("attack: patterns and seeds must be >= 1, got %d and %d", sub.Patterns, sub.Seeds)
 	}
-	p := dram.DDR5()
-	// Attacks span a small row window; the smaller bank matches
-	// pride-attack's Fig 15 setup and its checkpoint keys.
-	p.RowsPerBank = 8192
-	p.RowBits = 13
-	cfg := sim.AttackConfig{Params: p, ACTs: sub.ACTs, TRH: sub.TRH, SelfCheck: s.SelfCheck}
+	cfg := sim.AttackConfig{Params: sim.AttackParams(), ACTs: sub.ACTs, TRH: sub.TRH}
 	if err := cfg.Validate(); err != nil {
 		return prepared{}, err
 	}
@@ -298,22 +264,11 @@ func (s Spec) prepareAttack() (prepared, error) {
 	seeds := sub.Seeds
 	key := sim.AttackCampaignKey(cfg, scheme, nPat, seeds, seed, eng)
 	return prepared{
-		key: key,
-		run: func(ctx context.Context, o runOpts) (any, string, error) {
+		key:    key,
+		engine: eng,
+		run: func(ctx context.Context, o campaign.Options) (any, string, error) {
 			suite := patterns.Fig15Suite(cfg.Params.RowsPerBank, nPat, seed)
-			copts := sim.CampaignOptions{
-				Workers:    o.workers,
-				Checkpoint: o.checkpoint,
-				Engine:     eng,
-				SelfCheck:  s.SelfCheck,
-				Retry:      o.retry,
-				Faults:     o.campaignFaults(),
-			}
-			if o.camp != nil {
-				copts.Progress = o.camp
-				copts.Observer = o.camp
-			}
-			res, err := sim.MaxDisturbanceOverSuiteCampaign(ctx, cfg, scheme, suite, seeds, seed, copts)
+			res, err := sim.MaxDisturbanceOverSuiteCampaign(ctx, cfg, scheme, suite, seeds, seed, o)
 			if err != nil {
 				return nil, "", err
 			}
@@ -338,17 +293,11 @@ func (s Spec) prepareTTF() (prepared, error) {
 	if sub.Trials < 1 {
 		return prepared{}, fmt.Errorf("ttfsim: trials must be >= 1, got %d", sub.Trials)
 	}
-	params := dram.DDR5()
-	// The smaller bank matches pride-ttfsim's setup and its checkpoint
-	// keys: TTF depends on tracker behaviour, not bank capacity.
-	params.RowsPerBank = 4096
-	params.RowBits = 12
 	cfg := system.Config{
-		Params:    params,
-		Banks:     sub.Banks,
-		TRH:       sub.TRH,
-		MaxTREFI:  sub.MaxTREFI,
-		SelfCheck: s.SelfCheck,
+		Params:   system.TTFParams(),
+		Banks:    sub.Banks,
+		TRH:      sub.TRH,
+		MaxTREFI: sub.MaxTREFI,
 	}
 	if err := cfg.Validate(); err != nil {
 		return prepared{}, err
@@ -361,21 +310,10 @@ func (s Spec) prepareTTF() (prepared, error) {
 	trials := sub.Trials
 	key := system.MTTFCampaignKey(cfg, scheme, trials, seed, eng)
 	return prepared{
-		key: key,
-		run: func(ctx context.Context, o runOpts) (any, string, error) {
-			copts := system.CampaignOptions{
-				Workers:    o.workers,
-				Checkpoint: o.checkpoint,
-				Engine:     eng,
-				SelfCheck:  s.SelfCheck,
-				Retry:      o.retry,
-				Faults:     o.campaignFaults(),
-			}
-			if o.camp != nil {
-				copts.Progress = o.camp
-				copts.Observer = o.camp
-			}
-			mean, failed, err := system.MeasureMTTFCampaign(ctx, cfg, scheme, trials, seed, copts)
+		key:    key,
+		engine: eng,
+		run: func(ctx context.Context, o campaign.Options) (any, string, error) {
+			mean, failed, err := system.MeasureMTTFCampaign(ctx, cfg, scheme, trials, seed, o)
 			if err != nil {
 				return nil, "", err
 			}
@@ -432,11 +370,10 @@ func (s Spec) prepareReplay() (prepared, error) {
 		return prepared{}, err
 	}
 	tcfg := system.TopologyConfig{
-		Params:    dram.DDR5(),
-		Scheme:    scheme,
-		TRH:       sub.TRH,
-		Seed:      s.Seed,
-		SelfCheck: s.SelfCheck,
+		Params: dram.DDR5(),
+		Scheme: scheme,
+		TRH:    sub.TRH,
+		Seed:   s.Seed,
 	}
 
 	// open opens a fresh record stream; replay consumes its source, so every
@@ -517,8 +454,9 @@ func (s Spec) prepareReplay() (prepared, error) {
 	}
 
 	return prepared{
-		key: key,
-		run: func(ctx context.Context, o runOpts) (any, string, error) {
+		key:    key,
+		engine: engine.Exact,
+		run: func(ctx context.Context, o campaign.Options) (any, string, error) {
 			topo, err := system.NewTopology(tcfg)
 			if err != nil {
 				return nil, "", err
@@ -528,18 +466,8 @@ func (s Spec) prepareReplay() (prepared, error) {
 				return nil, "", err
 			}
 			defer closeSrc()
-			ropts := system.ReplayOptions{
-				Workers:    o.workers,
-				Checkpoint: o.checkpoint,
-				Retry:      o.retry,
-				Faults:     o.campaignFaults(),
-			}
-			ropts.Checkpoint.Key = expect
-			if o.camp != nil {
-				ropts.Progress = o.camp
-				ropts.Observer = o.camp
-			}
-			res, err := topo.ReplayCampaign(ctx, faultedSource(src, o.faults), ropts)
+			o.Checkpoint.Key = expect
+			res, err := topo.ReplayCampaign(ctx, faultedSource(src, o.Faults), o)
 			if err != nil {
 				return nil, "", err
 			}
@@ -553,12 +481,16 @@ func (s Spec) prepareReplay() (prepared, error) {
 	}, nil
 }
 
+// traceFaults is the optional Faults capability of the trace.read fault
+// site (faultinject.Injector implements it).
+type traceFaults interface{ TraceReadFault() error }
+
 // faultSource wraps a replay source with the trace.read fault site: a chaos
 // schedule can fail a read mid-demux and watch the job-level retry absorb
 // it.
 type faultSource struct {
 	trace.Source
-	in *faultinject.Injector
+	in traceFaults
 }
 
 func (f faultSource) ReadBatch(dst []uint64) (int, error) {
@@ -568,10 +500,11 @@ func (f faultSource) ReadBatch(dst []uint64) (int, error) {
 	return f.Source.ReadBatch(dst)
 }
 
-// faultedSource wraps src when an injector is armed; a nil injector returns
-// src untouched.
-func faultedSource(src trace.Source, in *faultinject.Injector) trace.Source {
-	if in == nil {
+// faultedSource wraps src when the campaign has faults with a trace.read
+// site (a faultinject.Injector); otherwise it returns src untouched.
+func faultedSource(src trace.Source, faults trialrunner.TrialFaults) trace.Source {
+	in, ok := faults.(traceFaults)
+	if !ok {
 		return src
 	}
 	return faultSource{Source: src, in: in}

@@ -24,7 +24,7 @@ import (
 
 // generatedSource is the record stream a generated replay spec of the named
 // workload, mapping, acts and seed runs.
-func generatedSource(t *testing.T, name, mapping string, acts int, seed uint64) trace.Source {
+func generatedSource(t testing.TB, name, mapping string, acts int, seed uint64) trace.Source {
 	t.Helper()
 	m, err := addrmap.ParseMapping(mapping)
 	if err != nil {
@@ -40,7 +40,7 @@ func generatedSource(t *testing.T, name, mapping string, acts int, seed uint64) 
 }
 
 // writeTraceFile writes a generated stream to path as a binary trace.
-func writeTraceFile(t *testing.T, path, name, mapping string, acts int, seed uint64) {
+func writeTraceFile(t testing.TB, path, name, mapping string, acts int, seed uint64) {
 	t.Helper()
 	src := generatedSource(t, name, mapping, acts, seed)
 	addrs, err := trace.Drain(src, nil)

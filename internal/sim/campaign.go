@@ -4,87 +4,16 @@ import (
 	"context"
 	"fmt"
 
+	"pride/internal/campaign"
 	"pride/internal/engine"
-	"pride/internal/guard"
 	"pride/internal/patterns"
 	"pride/internal/rng"
 	"pride/internal/trialrunner"
 )
 
-// ProgressSink receives coarse progress counters from a running attack
-// campaign, one update per completed trial. internal/obs.Campaign satisfies
-// it structurally; a sink is observation-only and cannot perturb the
-// bit-for-bit determinism guarantees.
-type ProgressSink interface {
-	// AddActivations records n freshly-simulated demand activations.
-	AddActivations(n int64)
-	// AddMitigations records n mitigations dispatched by the controller.
-	AddMitigations(n int64)
-}
-
-// CampaignOptions configures a cancellable, checkpointable, observable
-// attack campaign. The zero value behaves exactly like the plain Parallel
-// entry points at trialrunner.DefaultWorkers(): no checkpoint, no metering.
-type CampaignOptions struct {
-	// Workers is the pool size; 0 selects trialrunner.DefaultWorkers().
-	// Workers never affects the result, only how fast it arrives.
-	Workers int
-	// Checkpoint enables durable resume when its Path is set. An empty Key
-	// is filled with the experiment's canonical key (configuration + seed,
-	// never the worker count).
-	Checkpoint trialrunner.Checkpoint
-	// Progress, when non-nil, receives per-trial counter updates.
-	Progress ProgressSink
-	// Observer, when non-nil, receives per-trial lifecycle callbacks.
-	Observer trialrunner.Observer
-	// Engine selects the simulation engine: engine.Exact (the zero value)
-	// steps every activation; engine.Event skips ahead between insertions.
-	// Trials on the event engine are statistically — not bit-for-bit —
-	// equivalent to exact trials (identical where the event engine falls
-	// back), so the canonical checkpoint key embeds the engine and a
-	// campaign never resumes across an engine switch.
-	Engine engine.Kind
-	// SelfCheck enables runtime invariant guards in the controller, bank
-	// and tracker (-selfcheck). An event-engine trial whose guard trips is
-	// re-run on the exact engine (the divergence counted via
-	// AddEngineFallbacks on Progress) instead of aborting the campaign.
-	SelfCheck bool
-	// Retry bounds re-execution of panicked/errored trials; see
-	// trialrunner.RetryPolicy. Zero keeps single-attempt semantics.
-	Retry trialrunner.RetryPolicy
-	// Faults, when non-nil, injects deterministic faults into trial
-	// execution and checkpoint I/O (chaos testing; faultinject.Injector
-	// implements it). Production runs leave it nil.
-	Faults trialrunner.TrialFaults
-}
-
-func (o CampaignOptions) runnerOpts() trialrunner.Options {
-	return trialrunner.Options{Workers: o.Workers, Observer: o.Observer, Retry: o.Retry, Faults: o.Faults}
-}
-
-// fallbackSink is the optional Progress capability for counting event→exact
-// engine fallbacks (internal/obs.Campaign implements it).
-type fallbackSink interface{ AddEngineFallbacks(n int64) }
-
-// engineTripper is the optional Faults capability that forces an invariant
-// trip for a given trial index (faultinject.Injector implements it).
-type engineTripper interface{ EngineTrip(trial uint64) bool }
-
-// tripForced reports whether the fault schedule forces an engine trip on
-// trial i.
-func (o CampaignOptions) tripForced(i int) bool {
-	if et, ok := o.Faults.(engineTripper); ok {
-		return et.EngineTrip(uint64(i))
-	}
-	return false
-}
-
-// countFallback records one event→exact fallback on the progress sink.
-func (o CampaignOptions) countFallback() {
-	if fs, ok := o.Progress.(fallbackSink); ok {
-		fs.AddEngineFallbacks(1)
-	}
-}
+// CampaignOptions is the campaign contract every campaign shares; see
+// campaign.Options.
+type CampaignOptions = campaign.Options
 
 // AttackCampaignKey is the canonical checkpoint key of a Fig 15 suite
 // campaign: everything the trial grid and per-trial seeds depend on
@@ -97,12 +26,14 @@ func AttackCampaignKey(cfg AttackConfig, s Scheme, suiteLen, seeds int, baseSeed
 		s.Name, cfg.Params, cfg.ACTs, cfg.TRH, cfg.Policy, suiteLen, seeds, baseSeed, engine.KeySuffix(eng))
 }
 
-// MaxDisturbanceOverSuiteCampaign is MaxDisturbanceOverSuiteParallel as a
-// long-running campaign: the same trial grid (every pattern x `seeds`
-// trials) with index-derived per-trial seeds — so the merged result is
-// bit-for-bit identical to the Parallel engine at any worker count — plus
-// cancellation with graceful drain, per-trial panic isolation, durable
-// checkpoint/resume, and progress metering.
+// MaxDisturbanceOverSuiteCampaign runs every pattern in the suite against a
+// scheme across `seeds` trials each and returns the worst disturbance
+// observed — one bar of Figure 15. Trial t replays a private clone of
+// suite[t/seeds] under the index-derived seed rng.DeriveSeed(baseSeed, t),
+// and trial results fold in trial order, so the result is a pure function
+// of (cfg, scheme, suite, seeds, baseSeed, engine) at any worker count. The
+// campaign cancels with graceful drain, isolates per-trial panics,
+// checkpoints durably and meters progress.
 func MaxDisturbanceOverSuiteCampaign(ctx context.Context, cfg AttackConfig, s Scheme, suite []*patterns.Pattern, seeds int, baseSeed uint64, opts CampaignOptions) (AttackResult, error) {
 	if len(suite) == 0 || seeds < 1 {
 		panic(fmt.Sprintf("sim: suite of %d patterns x %d seeds has no trials", len(suite), seeds))
@@ -123,42 +54,44 @@ func MaxDisturbanceOverSuiteCampaign(ctx context.Context, cfg AttackConfig, s Sc
 	}
 	// One scratch arena per worker index: trials run by the same worker
 	// reuse the DRAM bank and the pattern clones.
-	ropts := opts.runnerOpts()
+	ropts := opts.Runner()
 	scratch := make([]attackScratch, ropts.PoolSize(trials))
 	results, err := trialrunner.MapCheckpointedWorker(ctx, trials, func(worker, t int) AttackResult {
 		sc := &scratch[worker]
 		pat := sc.clone(suite, t/seeds)
 		seed := rng.DeriveSeed(baseSeed, uint64(t))
-		if opts.Engine != engine.Event {
-			return runAttack(cfg, s, pat, seed, sc.bankFor(cfg.Params, cfg.TRH))
-		}
-		// Guarded event run: a tripped invariant (real or injected) falls
-		// back to the exact reference engine against a freshly-reset bank
-		// and the same derived seed, so the campaign degrades gracefully
-		// instead of aborting.
-		forced := opts.tripForced(t)
-		r, v := guard.Run(func() AttackResult {
-			if forced {
-				guard.Failf("sim.event", "forced-trip", "injected engine trip (trial %d)", t)
-			}
-			return runAttackEvent(cfg, s, pat, seed, sc.bankFor(cfg.Params, cfg.TRH))
-		})
-		if v == nil {
-			return r
-		}
-		opts.countFallback()
-		return runAttack(cfg, s, pat, seed, sc.bankFor(cfg.Params, cfg.TRH))
+		// Both engines run against a freshly-reset bank under the same
+		// derived seed, so a tripped event trial re-runs as the exact trial.
+		return campaign.Trial(opts, "sim.event", t,
+			func() AttackResult { return runAttack(cfg, s, pat, seed, sc.bankFor(cfg.Params, cfg.TRH)) },
+			func() AttackResult { return runAttackEvent(cfg, s, pat, seed, sc.bankFor(cfg.Params, cfg.TRH)) })
 	}, onDone, ropts, cp)
 	if err != nil {
 		return AttackResult{}, err
 	}
-	// Fold from a zero accumulator like the serial loop, so the Pattern
-	// headline is only attributed to trials that actually disturbed rows.
+	// Fold from a zero accumulator, so the Pattern headline is only
+	// attributed to trials that actually disturbed rows.
 	worst := AttackResult{Scheme: s.Name}
 	for _, res := range results {
 		worst = mergeWorst(worst, res)
 	}
 	return worst, nil
+}
+
+// mergeWorst folds trial results in trial order: first-wins maximum for the
+// disturbance headline (and its pattern attribution), running maximum for
+// peak hammers, sums for flips and mitigations.
+func mergeWorst(acc, next AttackResult) AttackResult {
+	if next.MaxDisturbance > acc.MaxDisturbance {
+		acc.MaxDisturbance = next.MaxDisturbance
+		acc.Pattern = next.Pattern
+	}
+	if next.MaxHammers > acc.MaxHammers {
+		acc.MaxHammers = next.MaxHammers
+	}
+	acc.Flips += next.Flips
+	acc.Mitigations += next.Mitigations
+	return acc
 }
 
 // SuiteLossCampaignKey is the canonical checkpoint key of a Fig 18 suite
@@ -178,10 +111,12 @@ func (m LossMeasurement) totalMitigated() int64 {
 	return total
 }
 
-// MeasureSuiteLossCampaign is MeasureSuiteLossParallel as a campaign, with
-// the same cancellation/checkpoint/metering contract as
-// MaxDisturbanceOverSuiteCampaign. On a nil error the measurements come back
-// in suite order, bit-identical to the Parallel engine.
+// MeasureSuiteLossCampaign runs the Fig 18 / Appendix C loss measurement
+// for every trace in the suite and returns the measurements in suite order,
+// with the same cancellation/checkpoint/metering contract as
+// MaxDisturbanceOverSuiteCampaign. Trace i always gets seed
+// rng.DeriveSeed(baseSeed, i) and a private pattern clone, so the
+// measurements are the same at any worker count.
 func MeasureSuiteLossCampaign(ctx context.Context, entries, w int, suite []*patterns.Pattern, acts int, baseSeed uint64, opts CampaignOptions) ([]LossMeasurement, error) {
 	cp := opts.Checkpoint
 	if cp.Key == "" {
@@ -197,24 +132,16 @@ func MeasureSuiteLossCampaign(ctx context.Context, entries, w int, suite []*patt
 	}
 	// Per-worker row accumulators: each pattern appears once per campaign so
 	// clone caching buys nothing here, but the fate table is reused.
-	ropts := opts.runnerOpts()
+	ropts := opts.Runner()
 	scratch := make([]lossMeasureScratch, ropts.PoolSize(len(suite)))
 	return trialrunner.MapCheckpointedWorker(ctx, len(suite), func(worker, i int) LossMeasurement {
 		seed := rng.DeriveSeed(baseSeed, uint64(i))
-		if opts.Engine != engine.Event {
-			return measurePatternLoss(entries, w, suite[i].Clone(), acts, seed, &scratch[worker], opts.SelfCheck)
-		}
-		forced := opts.tripForced(i)
-		m, v := guard.Run(func() LossMeasurement {
-			if forced {
-				guard.Failf("sim.event", "forced-trip", "injected engine trip (trial %d)", i)
-			}
-			return measurePatternLossEvent(entries, w, suite[i].Clone(), acts, seed, &scratch[worker], opts.SelfCheck)
-		})
-		if v == nil {
-			return m
-		}
-		opts.countFallback()
-		return measurePatternLoss(entries, w, suite[i].Clone(), acts, seed, &scratch[worker], opts.SelfCheck)
+		return campaign.Trial(opts, "sim.event", i,
+			func() LossMeasurement {
+				return measurePatternLoss(entries, w, suite[i].Clone(), acts, seed, &scratch[worker], opts.SelfCheck)
+			},
+			func() LossMeasurement {
+				return measurePatternLossEvent(entries, w, suite[i].Clone(), acts, seed, &scratch[worker], opts.SelfCheck)
+			})
 	}, onDone, ropts, cp)
 }

@@ -12,7 +12,7 @@ import (
 	"pride/internal/trialrunner"
 )
 
-// attackSink is a ProgressSink that can cancel a context after a fixed
+// attackSink is a campaign.Sink that can cancel a context after a fixed
 // number of completed trials — the test stand-in for a SIGINT landing
 // mid-campaign.
 type attackSink struct {
@@ -40,10 +40,13 @@ func (s *attackSink) AddMitigations(n int64) {
 	s.mitigations += n
 }
 
+// AddPeriods is a no-op: attack campaigns count activations, not periods.
+func (s *attackSink) AddPeriods(int64) {}
+
 func TestAttackCampaignMatchesParallel(t *testing.T) {
 	suite := parallelSuite(5)
 	cfg := attackCfg(10_000)
-	want := MaxDisturbanceOverSuiteParallel(cfg, PrIDEScheme(), suite, 2, 77, 2)
+	want := suiteCampaign(t, cfg, PrIDEScheme(), suite, 2, 77, 2)
 	got, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, PrIDEScheme(), suite, 2, 77, CampaignOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +60,7 @@ func TestAttackCampaignResumeIsBitIdentical(t *testing.T) {
 	suite := parallelSuite(9)
 	cfg := attackCfg(5_000)
 	const seeds, baseSeed = 3, 13
-	want := MaxDisturbanceOverSuiteParallel(cfg, PrIDEScheme(), suite, seeds, baseSeed, 1)
+	want := suiteCampaign(t, cfg, PrIDEScheme(), suite, seeds, baseSeed, 1)
 
 	cancelPoints := []int{2, 7, 11}
 	if testing.Short() {
@@ -102,7 +105,7 @@ func TestAttackCampaignResumeIsBitIdentical(t *testing.T) {
 func TestSuiteLossCampaignMatchesParallelAndMeters(t *testing.T) {
 	suite := parallelSuite(21)
 	const acts, baseSeed = 30_000, 3
-	want := MeasureSuiteLossParallel(64, 79, suite, acts, baseSeed, 2)
+	want := suiteLoss(t, 64, 79, suite, acts, baseSeed, 2)
 
 	sink := &attackSink{}
 	got, err := MeasureSuiteLossCampaign(context.Background(), 64, 79, suite, acts, baseSeed, CampaignOptions{Workers: 3, Progress: sink})
@@ -123,7 +126,7 @@ func TestSuiteLossCampaignMatchesParallelAndMeters(t *testing.T) {
 func TestSuiteLossCampaignResumeIsBitIdentical(t *testing.T) {
 	suite := parallelSuite(4)
 	const acts, baseSeed = 20_000, 17
-	want := MeasureSuiteLossParallel(64, 79, suite, acts, baseSeed, 1)
+	want := suiteLoss(t, 64, 79, suite, acts, baseSeed, 1)
 
 	path := filepath.Join(t.TempDir(), "suiteloss.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -17,6 +18,28 @@ func simWorkerGrid() []int {
 	return grid
 }
 
+// suiteCampaign runs MaxDisturbanceOverSuiteCampaign on `workers` workers
+// and fails the test on an error.
+func suiteCampaign(tb testing.TB, cfg AttackConfig, s Scheme, suite []*patterns.Pattern, seeds int, baseSeed uint64, workers int) AttackResult {
+	tb.Helper()
+	res, err := MaxDisturbanceOverSuiteCampaign(context.Background(), cfg, s, suite, seeds, baseSeed, CampaignOptions{Workers: workers})
+	if err != nil {
+		tb.Fatalf("workers=%d: %v", workers, err)
+	}
+	return res
+}
+
+// suiteLoss runs MeasureSuiteLossCampaign on `workers` workers and fails
+// the test on an error.
+func suiteLoss(tb testing.TB, entries, w int, suite []*patterns.Pattern, acts int, baseSeed uint64, workers int) []LossMeasurement {
+	tb.Helper()
+	ms, err := MeasureSuiteLossCampaign(context.Background(), entries, w, suite, acts, baseSeed, CampaignOptions{Workers: workers})
+	if err != nil {
+		tb.Fatalf("workers=%d: %v", workers, err)
+	}
+	return ms
+}
+
 func parallelSuite(seed uint64) []*patterns.Pattern {
 	return []*patterns.Pattern{
 		patterns.SingleSided(2000),
@@ -31,12 +54,12 @@ func TestMaxDisturbanceOverSuiteParallelDeterministic(t *testing.T) {
 	cfg := attackCfg(30_000)
 	for _, scheme := range []Scheme{PrIDEScheme(), PrIDERFMScheme(16)} {
 		t.Run(scheme.Name, func(t *testing.T) {
-			want := MaxDisturbanceOverSuiteParallel(cfg, scheme, suite, 2, 77, 1)
+			want := suiteCampaign(t, cfg, scheme, suite, 2, 77, 1)
 			if want.MaxDisturbance == 0 || want.Pattern == "" {
 				t.Fatalf("degenerate merged result: %+v", want)
 			}
 			for _, workers := range simWorkerGrid()[1:] {
-				got := MaxDisturbanceOverSuiteParallel(cfg, scheme, suite, 2, 77, workers)
+				got := suiteCampaign(t, cfg, scheme, suite, 2, 77, workers)
 				if got != want {
 					t.Fatalf("workers=%d: %+v != serial %+v", workers, got, want)
 				}
@@ -46,14 +69,20 @@ func TestMaxDisturbanceOverSuiteParallelDeterministic(t *testing.T) {
 }
 
 func TestMaxDisturbanceOverSuiteParallelMatchesSerialShape(t *testing.T) {
-	// The parallel adapter derives seeds by index rather than sequentially,
-	// so exact equality with the legacy serial function is not expected —
-	// but both estimate the same worst case, and PrIDE's bound must hold
-	// for either.
+	// The campaign derives trial seeds by index; the loop below draws them
+	// sequentially from one stream instead, so exact equality is not
+	// expected — but both estimate the same worst case, and PrIDE's bound
+	// must hold for either.
 	suite := parallelSuite(9)
 	cfg := attackCfg(40_000)
-	serial := MaxDisturbanceOverSuite(cfg, PrIDEScheme(), suite, 2, 13)
-	par := MaxDisturbanceOverSuiteParallel(cfg, PrIDEScheme(), suite, 2, 13, 4)
+	serial := AttackResult{Scheme: PrIDEScheme().Name}
+	seeds := rng.New(13)
+	for _, pat := range suite {
+		for i := 0; i < 2; i++ {
+			serial = mergeWorst(serial, RunAttack(cfg, PrIDEScheme(), pat, seeds.Uint64()))
+		}
+	}
+	par := suiteCampaign(t, cfg, PrIDEScheme(), suite, 2, 13, 4)
 	if par.Scheme != serial.Scheme {
 		t.Fatalf("scheme label %q != %q", par.Scheme, serial.Scheme)
 	}
@@ -72,7 +101,7 @@ func TestMeasureSuiteLossParallelDeterministic(t *testing.T) {
 	if len(suite) < 3 {
 		t.Fatalf("suite too small: %d", len(suite))
 	}
-	want := MeasureSuiteLossParallel(4, 79, suite, 60_000, 33, 1)
+	want := suiteLoss(t, 4, 79, suite, 60_000, 33, 1)
 	if len(want) != len(suite) {
 		t.Fatalf("measurements = %d, want %d", len(want), len(suite))
 	}
@@ -82,7 +111,7 @@ func TestMeasureSuiteLossParallelDeterministic(t *testing.T) {
 		}
 	}
 	for _, workers := range simWorkerGrid()[1:] {
-		got := MeasureSuiteLossParallel(4, 79, suite, 60_000, 33, workers)
+		got := suiteLoss(t, 4, 79, suite, 60_000, 33, workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d diverged from serial measurements", workers)
 		}
@@ -92,10 +121,10 @@ func TestMeasureSuiteLossParallelDeterministic(t *testing.T) {
 func TestMaxDisturbanceOverSuiteParallelPanicsOnEmptyGrid(t *testing.T) {
 	for name, f := range map[string]func(){
 		"empty suite": func() {
-			MaxDisturbanceOverSuiteParallel(attackCfg(1000), PrIDEScheme(), nil, 1, 1, 1)
+			MaxDisturbanceOverSuiteCampaign(context.Background(), attackCfg(1000), PrIDEScheme(), nil, 1, 1, CampaignOptions{Workers: 1})
 		},
 		"zero seeds": func() {
-			MaxDisturbanceOverSuiteParallel(attackCfg(1000), PrIDEScheme(), parallelSuite(1), 0, 1, 1)
+			MaxDisturbanceOverSuiteCampaign(context.Background(), attackCfg(1000), PrIDEScheme(), parallelSuite(1), 0, 1, CampaignOptions{Workers: 1})
 		},
 	} {
 		func() {

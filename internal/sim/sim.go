@@ -178,6 +178,17 @@ const (
 	OpenPage
 )
 
+// AttackParams returns the DDR5 bank the paper's attack experiments run on:
+// Fig 15, the island search, the tracker shootout and the campaign daemon's
+// attack jobs. Attacks span a small row window, so an 8192-row bank is
+// faster than a full one and the checkpoint keys of every front end agree.
+func AttackParams() dram.Params {
+	p := dram.DDR5()
+	p.RowsPerBank = 8192
+	p.RowBits = 13
+	return p
+}
+
 // AttackConfig parameterizes one attack trial.
 type AttackConfig struct {
 	Params dram.Params
@@ -326,27 +337,4 @@ func attackResult(s Scheme, pat *patterns.Pattern, bank *dram.Bank, ctrl *memctr
 		Flips:          len(bank.Flips()),
 		Mitigations:    ctrl.Stats().Mitigations,
 	}
-}
-
-// MaxDisturbanceOverSuite runs every pattern in the suite against a scheme
-// across `seeds` trials each and returns the worst disturbance observed —
-// one bar of Figure 15.
-func MaxDisturbanceOverSuite(cfg AttackConfig, s Scheme, suite []*patterns.Pattern, seeds int, baseSeed uint64) AttackResult {
-	worst := AttackResult{Scheme: s.Name}
-	seedStream := rng.New(baseSeed)
-	for _, pat := range suite {
-		for t := 0; t < seeds; t++ {
-			res := RunAttack(cfg, s, pat, seedStream.Uint64())
-			if res.MaxDisturbance > worst.MaxDisturbance {
-				worst.MaxDisturbance = res.MaxDisturbance
-				worst.Pattern = pat.Name
-			}
-			if res.MaxHammers > worst.MaxHammers {
-				worst.MaxHammers = res.MaxHammers
-			}
-			worst.Flips += res.Flips
-			worst.Mitigations += res.Mitigations
-		}
-	}
-	return worst
 }

@@ -152,9 +152,9 @@ func TestRFMReducesDisturbance(t *testing.T) {
 	// and rough magnitudes under a hostile suite subset.
 	suite := patterns.Fig15Suite(4096, 12, 11)
 	cfg := attackCfg(150_000)
-	base := MaxDisturbanceOverSuite(cfg, PrIDEScheme(), suite, 2, 101)
-	rfm40 := MaxDisturbanceOverSuite(cfg, PrIDERFMScheme(40), suite, 2, 102)
-	rfm16 := MaxDisturbanceOverSuite(cfg, PrIDERFMScheme(16), suite, 2, 103)
+	base := suiteCampaign(t, cfg, PrIDEScheme(), suite, 2, 101, 1)
+	rfm40 := suiteCampaign(t, cfg, PrIDERFMScheme(40), suite, 2, 102, 1)
+	rfm16 := suiteCampaign(t, cfg, PrIDERFMScheme(16), suite, 2, 103, 1)
 	if !(rfm16.MaxDisturbance < rfm40.MaxDisturbance && rfm40.MaxDisturbance < base.MaxDisturbance) {
 		t.Fatalf("disturbance ordering violated: RFM16 %d, RFM40 %d, PrIDE %d",
 			rfm16.MaxDisturbance, rfm40.MaxDisturbance, base.MaxDisturbance)
@@ -172,8 +172,8 @@ func TestPRoHITExceedsPrIDEOnSuite(t *testing.T) {
 	suite := patterns.Fig15Suite(4096, 9, 13)
 	suite = append(suite, blacksmithBreaker())
 	cfg := attackCfg(200_000)
-	pride := MaxDisturbanceOverSuite(cfg, PrIDEScheme(), suite, 1, 7)
-	res := MaxDisturbanceOverSuite(cfg, fig15ByName(t, "PRoHIT"), suite, 1, 7)
+	pride := suiteCampaign(t, cfg, PrIDEScheme(), suite, 1, 7, 1)
+	res := suiteCampaign(t, cfg, fig15ByName(t, "PRoHIT"), suite, 1, 7, 1)
 	if res.MaxDisturbance <= pride.MaxDisturbance {
 		t.Errorf("PRoHIT suite disturbance %d not worse than PrIDE's %d",
 			res.MaxDisturbance, pride.MaxDisturbance)
@@ -289,7 +289,7 @@ func TestMaxDisturbanceOverSuiteTracksWorstPattern(t *testing.T) {
 		patterns.SingleSided(100),
 		patterns.TRRespass(1000, 30, 3),
 	}
-	res := MaxDisturbanceOverSuite(attackCfg(30_000), fig15ByName(t, "DSAC"), suite, 1, 1)
+	res := suiteCampaign(t, attackCfg(30_000), fig15ByName(t, "DSAC"), suite, 1, 1, 1)
 	if res.Pattern == "" || res.MaxDisturbance == 0 {
 		t.Fatalf("suite result empty: %+v", res)
 	}

@@ -4,84 +4,16 @@ import (
 	"context"
 	"fmt"
 
+	"pride/internal/campaign"
 	"pride/internal/engine"
-	"pride/internal/guard"
 	"pride/internal/rng"
 	"pride/internal/sim"
 	"pride/internal/trialrunner"
 )
 
-// ProgressSink receives coarse progress counters from a running TTF
-// campaign, one update per completed trial. internal/obs.Campaign satisfies
-// it structurally; a sink is observation-only.
-type ProgressSink interface {
-	// AddPeriods records n freshly-simulated refresh intervals (tREFIs).
-	AddPeriods(n int64)
-}
-
-// CampaignOptions configures a cancellable, checkpointable, observable TTF
-// campaign. The zero value behaves exactly like MeasureMTTFParallel at
-// trialrunner.DefaultWorkers(): no checkpoint, no metering.
-type CampaignOptions struct {
-	// Workers is the pool size; 0 selects trialrunner.DefaultWorkers().
-	// Workers never affects the result, only how fast it arrives.
-	Workers int
-	// Checkpoint enables durable resume when its Path is set. An empty Key
-	// is filled with the experiment's canonical key (configuration + seed,
-	// never the worker count).
-	Checkpoint trialrunner.Checkpoint
-	// Progress, when non-nil, receives per-trial counter updates.
-	Progress ProgressSink
-	// Observer, when non-nil, receives per-trial lifecycle callbacks.
-	Observer trialrunner.Observer
-	// Engine selects the simulation engine: engine.Exact (the zero value)
-	// steps every activation; engine.Event skips ahead between insertions.
-	// Trial outcomes on the event engine are statistically — not
-	// bit-for-bit — equivalent, so the canonical checkpoint key embeds the
-	// engine and a campaign never resumes across an engine switch.
-	Engine engine.Kind
-	// SelfCheck enables runtime invariant guards in the per-bank
-	// controllers, banks and trackers (-selfcheck). An event-engine trial
-	// whose guard trips is re-run on the exact engine (the divergence
-	// counted via AddEngineFallbacks on Progress) instead of aborting the
-	// campaign.
-	SelfCheck bool
-	// Retry bounds re-execution of panicked/errored trials; see
-	// trialrunner.RetryPolicy. Zero keeps single-attempt semantics.
-	Retry trialrunner.RetryPolicy
-	// Faults, when non-nil, injects deterministic faults into trial
-	// execution and checkpoint I/O (chaos testing; faultinject.Injector
-	// implements it). Production runs leave it nil.
-	Faults trialrunner.TrialFaults
-}
-
-func (o CampaignOptions) runnerOpts() trialrunner.Options {
-	return trialrunner.Options{Workers: o.Workers, Observer: o.Observer, Retry: o.Retry, Faults: o.Faults}
-}
-
-// fallbackSink is the optional Progress capability for counting event→exact
-// engine fallbacks (internal/obs.Campaign implements it).
-type fallbackSink interface{ AddEngineFallbacks(n int64) }
-
-// engineTripper is the optional Faults capability that forces an invariant
-// trip for a given trial index (faultinject.Injector implements it).
-type engineTripper interface{ EngineTrip(trial uint64) bool }
-
-// tripForced reports whether the fault schedule forces an engine trip on
-// trial i.
-func (o CampaignOptions) tripForced(i int) bool {
-	if et, ok := o.Faults.(engineTripper); ok {
-		return et.EngineTrip(uint64(i))
-	}
-	return false
-}
-
-// countFallback records one event→exact fallback on the progress sink.
-func (o CampaignOptions) countFallback() {
-	if fs, ok := o.Progress.(fallbackSink); ok {
-		fs.AddEngineFallbacks(1)
-	}
-}
+// CampaignOptions is the campaign contract every campaign shares; see
+// campaign.Options.
+type CampaignOptions = campaign.Options
 
 // MTTFCampaignKey is the canonical checkpoint key of a TTF campaign: every
 // parameter a trial's outcome depends on, and nothing else (in particular
@@ -91,11 +23,15 @@ func MTTFCampaignKey(cfg Config, s sim.Scheme, trials int, seed uint64, eng engi
 		s.Name, cfg.Params, cfg.Banks, cfg.TRH, cfg.MaxTREFI, trials, seed, engine.KeySuffix(eng))
 }
 
-// MeasureMTTFCampaign is MeasureMTTFParallel as a long-running campaign: the
-// same independent trials with index-derived seeds — so the measured mean
-// and failure count are bit-for-bit identical to the Parallel engine at any
-// worker count — plus cancellation with graceful drain, per-trial panic
-// isolation, durable checkpoint/resume, and progress metering.
+// MeasureMTTFCampaign runs `trials` independent system simulations and
+// returns the mean time-to-fail in seconds over the failing trials, plus
+// how many trials failed within the horizon. Comparing the mean against
+// analytic.SystemTTFYears validates the Eq. 1 / Section VII-C chain
+// empirically. Trial t runs under the index-derived seed
+// rng.DeriveSeed(seed, t) and results fold in trial order, so the mean and
+// failure count are a pure function of (cfg, s, trials, seed, engine) at
+// any worker count. The campaign cancels with graceful drain, isolates
+// per-trial panics, checkpoints durably and meters progress.
 func MeasureMTTFCampaign(ctx context.Context, cfg Config, s sim.Scheme, trials int, seed uint64, opts CampaignOptions) (meanSeconds float64, failed int, err error) {
 	if trials < 1 {
 		panic(fmt.Sprintf("system: trials must be >= 1, got %d", trials))
@@ -114,29 +50,15 @@ func MeasureMTTFCampaign(ctx context.Context, cfg Config, s sim.Scheme, trials i
 	}
 	// One scratch arena per worker index: trials run by the same worker
 	// reuse the bank arrays and hammer patterns.
-	ropts := opts.runnerOpts()
+	ropts := opts.Runner()
 	scratch := make([]runScratch, ropts.PoolSize(trials))
 	results, err := trialrunner.MapCheckpointedWorker(ctx, trials, func(worker, t int) Result {
 		trialSeed := rng.DeriveSeed(seed, uint64(t))
-		if opts.Engine != engine.Event {
-			return run(cfg, s, trialSeed, &scratch[worker], opts.Engine)
-		}
-		// Guarded event run: a tripped invariant (real or injected) falls
-		// back to the exact reference engine under the same derived seed
-		// (run resets the scratch's banks itself), so the campaign
-		// degrades gracefully instead of aborting.
-		forced := opts.tripForced(t)
-		r, v := guard.Run(func() Result {
-			if forced {
-				guard.Failf("system.event", "forced-trip", "injected engine trip (trial %d)", t)
-			}
-			return run(cfg, s, trialSeed, &scratch[worker], engine.Event)
-		})
-		if v == nil {
-			return r
-		}
-		opts.countFallback()
-		return run(cfg, s, trialSeed, &scratch[worker], engine.Exact)
+		// run resets the scratch's banks itself, so a tripped event trial
+		// re-runs as the exact trial under the same derived seed.
+		return campaign.Trial(opts, "system.event", t,
+			func() Result { return run(cfg, s, trialSeed, &scratch[worker], engine.Exact) },
+			func() Result { return run(cfg, s, trialSeed, &scratch[worker], engine.Event) })
 	}, onDone, ropts, cp)
 	if err != nil {
 		return 0, 0, err

@@ -11,7 +11,7 @@ import (
 	"pride/internal/trialrunner"
 )
 
-// ttfSink is a ProgressSink that can cancel a context after a fixed number
+// ttfSink is a campaign.Sink that can cancel a context after a fixed number
 // of completed trials.
 type ttfSink struct {
 	mu          sync.Mutex
@@ -31,10 +31,14 @@ func (s *ttfSink) AddPeriods(n int64) {
 	}
 }
 
+// The TTF campaign counts periods only.
+func (s *ttfSink) AddActivations(int64) {}
+func (s *ttfSink) AddMitigations(int64) {}
+
 func TestMTTFCampaignMatchesParallel(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
 	const trials, seed = 4, 7
-	wantMean, wantFailed := MeasureMTTFParallel(cfg, sim.PrIDEScheme(), trials, seed, 2)
+	wantMean, wantFailed := mttfCampaign(t, cfg, sim.PrIDEScheme(), trials, seed, 2)
 
 	sink := &ttfSink{}
 	mean, failed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
@@ -53,7 +57,7 @@ func TestMTTFCampaignMatchesParallel(t *testing.T) {
 func TestMTTFCampaignResumeIsBitIdentical(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
 	const trials, seed = 4, 9
-	wantMean, wantFailed := MeasureMTTFParallel(cfg, sim.PrIDEScheme(), trials, seed, 1)
+	wantMean, wantFailed := mttfCampaign(t, cfg, sim.PrIDEScheme(), trials, seed, 1)
 
 	path := filepath.Join(t.TempDir(), "mttf.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())

@@ -60,17 +60,15 @@ func TestRunEngineFallsBackWithoutSkipAhead(t *testing.T) {
 	}
 }
 
-// TestMeasureMTTFEngineAgreesWithCampaign pins the serial sampler's engine
-// plumbing: MeasureMTTFEngine derives trial seeds exactly like
-// MeasureMTTFCampaign, so for EITHER engine the serial measurement and a
-// multi-worker campaign are bit-identical. (Before MeasureMTTFEngine the
-// serial path drew seeds sequentially and hardwired the exact engine, so the
-// two samplers could never be compared trial for trial.)
+// TestMeasureMTTFEngineAgreesWithCampaign pins the campaign's engine
+// plumbing: for EITHER engine a multi-worker campaign is bit-identical to
+// the serial reference sampler that runs each trial through RunEngine under
+// the same index-derived seed.
 func TestMeasureMTTFEngineAgreesWithCampaign(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
 	const trials, seed = 8, 11
 	for _, eng := range []engine.Kind{engine.Exact, engine.Event} {
-		serialMean, serialFailed := MeasureMTTFEngine(cfg, sim.PrIDEScheme(), trials, seed, eng)
+		serialMean, serialFailed := serialMTTF(cfg, sim.PrIDEScheme(), trials, seed, eng)
 		campMean, campFailed, err := MeasureMTTFCampaign(context.Background(), cfg, sim.PrIDEScheme(), trials, seed,
 			CampaignOptions{Workers: 4, Engine: eng})
 		if err != nil {
@@ -125,7 +123,7 @@ func TestMTTFCampaignEventEngine(t *testing.T) {
 
 	// Same failure process on the exact engine: both samplers must see most
 	// trials fail and means of the same order of magnitude.
-	exactMean, exactFailed := MeasureMTTFParallel(cfg, sim.PrIDEScheme(), trials, seed, 4)
+	exactMean, exactFailed := mttfCampaign(t, cfg, sim.PrIDEScheme(), trials, seed, 4)
 	if exactFailed < 6 || wantFailed < 6 {
 		t.Fatalf("too few failures to compare: exact %d, event %d", exactFailed, wantFailed)
 	}

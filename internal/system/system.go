@@ -22,6 +22,17 @@ import (
 	"pride/internal/sim"
 )
 
+// TTFParams returns the DDR5 bank the time-to-fail campaigns run on
+// (pride-ttfsim and the campaign daemon's ttfsim jobs). TTF depends on
+// tracker behaviour, not bank capacity, so a 4096-row bank is faster than a
+// full one and the checkpoint keys of both front ends agree.
+func TTFParams() dram.Params {
+	p := dram.DDR5()
+	p.RowsPerBank = 4096
+	p.RowBits = 12
+	return p
+}
+
 // Config parameterizes a system-level attack simulation.
 type Config struct {
 	// Params are the per-bank DRAM parameters.
@@ -287,36 +298,4 @@ func (b *bankState) idleACTs(n int) {
 		b.pat.Advance(k)
 		n -= k
 	}
-}
-
-// MeasureMTTF runs `trials` independent system simulations and returns the
-// mean time-to-fail in seconds over the failing trials, plus how many
-// trials failed within the horizon. Comparing the mean against
-// analytic.SystemTTFYears validates the Eq. 1 / Section VII-C chain
-// empirically.
-func MeasureMTTF(cfg Config, s sim.Scheme, trials int, seed uint64) (meanSeconds float64, failed int) {
-	return MeasureMTTFEngine(cfg, s, trials, seed, engine.Exact)
-}
-
-// MeasureMTTFEngine is MeasureMTTF on the selected engine. Trial seeds are
-// index-derived exactly like MeasureMTTFCampaign's, so a serial measurement
-// agrees trial-for-trial with a campaign at any worker count — on the same
-// engine, bit for bit.
-func MeasureMTTFEngine(cfg Config, s sim.Scheme, trials int, seed uint64, eng engine.Kind) (meanSeconds float64, failed int) {
-	if trials < 1 {
-		panic(fmt.Sprintf("system: trials must be >= 1, got %d", trials))
-	}
-	var sc runScratch
-	total := 0.0
-	for t := 0; t < trials; t++ {
-		res := run(cfg, s, rng.DeriveSeed(seed, uint64(t)), &sc, eng)
-		if res.Failed {
-			failed++
-			total += res.TimeToFail.Seconds()
-		}
-	}
-	if failed == 0 {
-		return 0, 0
-	}
-	return total / float64(failed), failed
 }

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestMeasuredMTTFMatchesAnalyticOrder(t *testing.T) {
 	const banks = 4
 	const victimTRH = 500 // device TRH-D = 250
 	cfg := Config{Params: p, Banks: banks, TRH: victimTRH, MaxTREFI: 200_000}
-	mean, failed := MeasureMTTF(cfg, sim.PrIDEScheme(), 12, 3)
+	mean, failed := mttfCampaign(t, cfg, sim.PrIDEScheme(), 12, 3, 1)
 	if failed < 8 {
 		t.Fatalf("only %d/12 trials failed; cannot estimate MTTF", failed)
 	}
@@ -80,8 +81,8 @@ func TestMeasuredMTTFMatchesAnalyticOrder(t *testing.T) {
 
 func TestMoreBanksFailSooner(t *testing.T) {
 	p := sysParams()
-	one, failed1 := MeasureMTTF(Config{Params: p, Banks: 1, TRH: 300, MaxTREFI: 100_000}, sim.PrIDEScheme(), 10, 5)
-	many, failedN := MeasureMTTF(Config{Params: p, Banks: 8, TRH: 300, MaxTREFI: 100_000}, sim.PrIDEScheme(), 10, 5)
+	one, failed1 := mttfCampaign(t, Config{Params: p, Banks: 1, TRH: 300, MaxTREFI: 100_000}, sim.PrIDEScheme(), 10, 5, 1)
+	many, failedN := mttfCampaign(t, Config{Params: p, Banks: 8, TRH: 300, MaxTREFI: 100_000}, sim.PrIDEScheme(), 10, 5, 1)
 	if failed1 < 8 || failedN < 8 {
 		t.Fatalf("insufficient failures: %d, %d", failed1, failedN)
 	}
@@ -93,8 +94,8 @@ func TestMoreBanksFailSooner(t *testing.T) {
 func TestRFMExtendsTTF(t *testing.T) {
 	p := sysParams()
 	cfg := Config{Params: p, Banks: 2, TRH: 400, MaxTREFI: 60_000}
-	base, bFailed := MeasureMTTF(cfg, sim.PrIDEScheme(), 8, 7)
-	_, rFailed := MeasureMTTF(cfg, sim.PrIDERFMScheme(16), 8, 7)
+	base, bFailed := mttfCampaign(t, cfg, sim.PrIDEScheme(), 8, 7, 1)
+	_, rFailed := mttfCampaign(t, cfg, sim.PrIDERFMScheme(16), 8, 7, 1)
 	if bFailed < 6 {
 		t.Fatalf("baseline PrIDE failed only %d/8 times at TRH=400", bFailed)
 	}
@@ -135,8 +136,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MeasureMTTF with 0 trials did not panic")
+			t.Fatal("MeasureMTTFCampaign with 0 trials did not panic")
 		}
 	}()
-	MeasureMTTF(good, sim.PrIDEScheme(), 0, 1)
+	MeasureMTTFCampaign(context.Background(), good, sim.PrIDEScheme(), 0, 1, CampaignOptions{Workers: 1})
 }

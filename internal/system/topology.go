@@ -3,13 +3,16 @@ package system
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"sync"
 
 	"pride/internal/addrmap"
+	"pride/internal/campaign"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/memctrl"
 	"pride/internal/rng"
 	"pride/internal/sim"
@@ -259,48 +262,29 @@ func (r ReplayResult) PerChannel() []ChannelSummary {
 	return out
 }
 
-// ReplaySink receives coarse progress counters from a running replay:
-// demuxed records and their byte volume. internal/obs.Campaign satisfies it
-// structurally; a sink is observation-only.
-type ReplaySink interface {
+// ReplayOptions is the campaign contract every campaign shares; see
+// campaign.Options. A replay is inherently exact — one trace record per
+// demand ACT — so it rejects engine.Event. A non-empty Checkpoint.Key is
+// the key the caller expects the stream to have, such as one fingerprinted
+// before the replay: when the key the demux derives differs, ReplayCampaign
+// fails with ErrStreamChanged, before any shard runs or any checkpoint is
+// written. Progress receives per-shard activations and mitigations, and
+// demuxed records and bytes when it also has AddRecords and AddBytes.
+type ReplayOptions = campaign.Options
+
+// recordSink is the optional Progress capability for counting demuxed
+// trace records and their byte volume (internal/obs.Campaign implements
+// it).
+type recordSink interface {
 	AddRecords(n int64)
 	AddBytes(n int64)
 }
 
-// activationSink is the optional ReplaySink capability for counting replayed
-// activations per completed shard (internal/obs.Campaign implements it).
-type activationSink interface{ AddActivations(n int64) }
-
-// mitigationSink is the optional ReplaySink capability for counting
-// dispatched mitigations (internal/obs.Campaign implements it).
-type mitigationSink interface{ AddMitigations(n int64) }
-
-// ReplayOptions configures a cancellable, checkpointable, observable replay
-// campaign. The zero value replays serially with no checkpoint or metering.
-// There is no Engine knob: replay is inherently exact, one trace record per
-// demand ACT.
-type ReplayOptions struct {
-	// Workers is the pool size; 0 selects trialrunner.DefaultWorkers().
-	// Workers never affects the result, only how fast it arrives.
-	Workers int
-	// Checkpoint enables durable resume when its Path is set. An empty Key
-	// is filled with the replay's canonical key (configuration + trace
-	// fingerprint, never the worker count). A non-empty Key is the key the
-	// caller expects the stream to have, such as one fingerprinted before
-	// the replay: when the key the demux derives differs, ReplayCampaign
-	// fails with an error naming both, before any shard runs or any
-	// checkpoint is written.
-	Checkpoint trialrunner.Checkpoint
-	// Progress, when non-nil, receives demux and per-shard counter updates.
-	Progress ReplaySink
-	// Observer, when non-nil, receives per-shard lifecycle callbacks.
-	Observer trialrunner.Observer
-	// Retry bounds re-execution of panicked/errored shards.
-	Retry trialrunner.RetryPolicy
-	// Faults, when non-nil, injects deterministic faults into shard
-	// execution and checkpoint I/O (chaos testing).
-	Faults trialrunner.TrialFaults
-}
+// ErrStreamChanged marks a replay whose stream does not derive the
+// checkpoint key the caller expected: the source changed since its key was
+// derived, or the key belongs to another stream. Replaying the same source
+// again cannot succeed until the source changes back.
+var ErrStreamChanged = errors.New("system: replay stream does not match the expected key")
 
 // ReplayCampaignKey is the canonical checkpoint key of a replay campaign:
 // the topology configuration plus the decoded trace's length and
@@ -335,9 +319,10 @@ type rowQueue struct {
 // slabArena carves one replay's queue blocks out of shared slabs: the
 // topology's spare slabs first, then new ones.
 type slabArena struct {
-	free  []int32   // uncarved rest of the current slab
-	spare [][]int32 // whole slabs not carved yet
-	used  [][]int32 // whole slabs this replay carves
+	free   []int32    // uncarved rest of the current slab
+	spare  [][]int32  // whole slabs not carved yet
+	used   [][]int32  // whole slabs this replay carves
+	queues []rowQueue // the shard queues the blocks are carved for
 }
 
 // block returns an empty block with room for queueBlockRows rows.
@@ -372,30 +357,40 @@ func (t *Topology) takeSlabs() *slabArena {
 	return a
 }
 
-// putSlabs takes back a replay's slabs once no shard reads its queue. The
+// putSlabs takes back a replay's slabs once no shard reads its queues. The
 // first replay lets them go with its queues instead: a topology built for
-// one replay (one CLI run, one daemon job) must not hold them after it,
-// because a stale stack word can keep a dead topology reachable for a
-// collection and its slabs with it.
+// one replay (one CLI run, one daemon job) must not hold them after it.
+// Either way the replay's own references to the slabs — the arena's slab
+// lists and every queue's block list — are dropped. A stale stack word can
+// keep a dead topology, arena or queue list reachable for a collection (the
+// innermost frame of an asynchronously preempted goroutine is scanned
+// conservatively); with those references dropped it holds at most the one
+// slab it points into, not a whole replay's rows.
 func (t *Topology) putSlabs(a *slabArena) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.replays++
 	if t.replays > 1 {
 		t.spare = append(append(t.spare, a.used...), a.spare...)
 	}
+	t.mu.Unlock()
+	for i := range a.queues {
+		clear(a.queues[i].blocks)
+	}
+	clear(a.queues)
+	*a = slabArena{}
 }
 
 // demux shards the record stream by (channel, rank, bank) into per-shard
 // row queues, fingerprinting the decoded records as it goes. The source's
 // mapping must equal the topology's — a trace recorded under one geometry
 // must not silently replay under another.
-func (t *Topology) demux(src trace.Source, sink ReplaySink, arena *slabArena) (queues []rowQueue, records uint64, crc uint32, err error) {
+func (t *Topology) demux(src trace.Source, sink recordSink, arena *slabArena) (queues []rowQueue, records uint64, crc uint32, err error) {
 	if sm := src.Mapping(); sm != t.cfg.Mapping {
 		return nil, 0, 0, fmt.Errorf("system: trace mapping %s differs from topology mapping %s",
 			sm.String(), t.cfg.Mapping.String())
 	}
 	queues = make([]rowQueue, t.Shards())
+	arena.queues = queues
 	var (
 		batch [demuxBatch]uint64
 		le    [demuxBatch * 8]byte
@@ -468,8 +463,8 @@ func ReplayFingerprint(src trace.Source) (records uint64, crc uint32, err error)
 // shard, and dbank — the calling worker's scratch bank — is reset first, so
 // the result depends only on (config, shard, queue) — the property that
 // makes replay bit-identical at any worker count, across retries and across
-// resumed campaigns.
-func (t *Topology) replayShard(shard int, blocks [][]int32, dbank *dram.Bank) ShardResult {
+// resumed campaigns. selfCheck arms the controller's invariant guards.
+func (t *Topology) replayShard(shard int, blocks [][]int32, dbank *dram.Bank, selfCheck bool) ShardResult {
 	channel, rank, bank := t.shardCoord(shard)
 	stream := rng.Derived(t.cfg.Seed, uint64(shard))
 	trk := t.cfg.Scheme.New(t.params, stream)
@@ -479,7 +474,7 @@ func (t *Topology) replayShard(shard int, blocks [][]int32, dbank *dram.Bank) Sh
 	if t.cfg.Scheme.MitigationEveryNREF > 0 {
 		mcfg.MitigationEveryNREF = t.cfg.Scheme.MitigationEveryNREF
 	}
-	mcfg.SelfCheck = t.cfg.SelfCheck
+	mcfg.SelfCheck = selfCheck
 	ctrl := memctrl.New(mcfg, dbank, trk)
 
 	var scr *addrmap.RowScrambler
@@ -533,14 +528,19 @@ func (t *Topology) Replay(src trace.Source) (ReplayResult, error) {
 // the stream, then a trialrunner pool drains the shards with a
 // deterministic shard-order merge — bit-identical at any worker count —
 // with cancellation, graceful drain, durable checkpoint/resume and progress
-// metering, the same campaign contract the TTF CLIs keep. A non-empty
-// opts.Checkpoint.Key must equal the key the demuxed stream derives.
+// metering, the same campaign contract the TTF CLIs keep. opts.Engine must
+// be engine.Exact, and a non-empty opts.Checkpoint.Key must equal the key
+// the demuxed stream derives.
 func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts ReplayOptions) (ReplayResult, error) {
+	if opts.Engine != engine.Exact {
+		return ReplayResult{}, fmt.Errorf("system: replay runs on the exact engine only, got engine %s", opts.Engine)
+	}
 	arena := t.takeSlabs()
 	// Deferred: MapCheckpointedWorker returns only after its workers exit,
 	// so no shard reads the queues once ReplayCampaign returns.
 	defer t.putSlabs(arena)
-	queues, records, crc, err := t.demux(src, opts.Progress, arena)
+	rs, _ := opts.Progress.(recordSink)
+	queues, records, crc, err := t.demux(src, rs, arena)
 	if err != nil {
 		return ReplayResult{}, err
 	}
@@ -549,23 +549,18 @@ func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts Re
 	if cp.Key == "" {
 		cp.Key = key
 	} else if cp.Key != key {
-		return ReplayResult{}, fmt.Errorf("system: replay stream does not match the expected key (the source changed since its key was derived, or the key belongs to another stream):\n  expected key: %q\n  stream's key: %q", cp.Key, key)
+		return ReplayResult{}, fmt.Errorf("%w (the source changed since its key was derived, or the key belongs to another stream):\n  expected key: %q\n  stream's key: %q", ErrStreamChanged, cp.Key, key)
 	}
 	var onDone func(i int, r ShardResult) error
 	if sink := opts.Progress; sink != nil {
-		as, hasActs := sink.(activationSink)
-		ms, hasMits := sink.(mitigationSink)
 		onDone = func(i int, r ShardResult) error {
-			if hasActs {
-				as.AddActivations(int64(r.ACTs))
-			}
-			if hasMits {
-				ms.AddMitigations(int64(r.Mitigations))
-			}
+			sink.AddActivations(int64(r.ACTs))
+			sink.AddMitigations(int64(r.Mitigations))
 			return nil
 		}
 	}
-	ropts := trialrunner.Options{Workers: opts.Workers, Observer: opts.Observer, Retry: opts.Retry, Faults: opts.Faults}
+	selfCheck := t.cfg.SelfCheck || opts.SelfCheck
+	ropts := opts.Runner()
 	// One bank per worker index, reset at each shard's start: the bank's
 	// row arrays are the only shard state that is scratch, not built from
 	// the shard index.
@@ -574,7 +569,7 @@ func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts Re
 		if banks[worker] == nil {
 			banks[worker] = dram.MustNewBank(t.params, t.cfg.TRH)
 		}
-		return t.replayShard(i, queues[i].blocks, banks[worker])
+		return t.replayShard(i, queues[i].blocks, banks[worker], selfCheck)
 	}, onDone, ropts, cp)
 	if err != nil {
 		return ReplayResult{}, err

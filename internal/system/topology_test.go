@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 
 	"pride/internal/addrmap"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/faultinject"
 	"pride/internal/obs"
 	"pride/internal/rng"
@@ -215,8 +217,8 @@ func TestReplayRejectsUnexpectedKey(t *testing.T) {
 		Checkpoint: trialrunner.Checkpoint{Path: path, Key: stale},
 		Observer:   &starts,
 	})
-	if err == nil || !strings.Contains(err.Error(), stale) || !strings.Contains(err.Error(), own) {
-		t.Fatalf("replay under a stale key: err = %v, want one naming %q and %q", err, stale, own)
+	if !errors.Is(err, ErrStreamChanged) || !strings.Contains(err.Error(), stale) || !strings.Contains(err.Error(), own) {
+		t.Fatalf("replay under a stale key: err = %v, want ErrStreamChanged naming %q and %q", err, stale, own)
 	}
 	if got := starts.n.Load(); got != 0 {
 		t.Fatalf("%d shards ran before the key mismatch was reported", got)
@@ -238,6 +240,21 @@ func TestReplayRejectsUnexpectedKey(t *testing.T) {
 	}
 	if got := starts.n.Load(); got != int64(top.Shards()) {
 		t.Fatalf("%d shards ran, want %d", got, top.Shards())
+	}
+}
+
+// TestReplayRejectsEventEngine: a replay has no stochastic engine to
+// select, so engine.Event is an error before the source is read, not a
+// silently ignored option.
+func TestReplayRejectsEventEngine(t *testing.T) {
+	top := mustTopology(t, serverConfig(t))
+	src := serverSource(1000)
+	_, err := top.ReplayCampaign(context.Background(), src, ReplayOptions{Workers: 1, Engine: engine.Event})
+	if err == nil || !strings.Contains(err.Error(), "exact engine") {
+		t.Fatalf("replay on the event engine: err = %v, want a rejection", err)
+	}
+	if got, err := top.ReplayCampaign(context.Background(), src, ReplayOptions{Workers: 1}); err != nil || got.Records != 1000 {
+		t.Fatalf("the rejected replay consumed its source: %d records, err %v", got.Records, err)
 	}
 }
 
@@ -623,6 +640,42 @@ func TestReplayConcurrentOnOneTopology(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPutSlabsDropsReplayReferences checks that a finished replay's arena
+// and shard queues hold no slab, whether the topology keeps the slabs (from
+// its second replay on) or lets them go: a stale stack word still pointing
+// at one of them must not keep a whole replay's rows alive.
+func TestPutSlabsDropsReplayReferences(t *testing.T) {
+	top := mustTopology(t, serverConfig(t))
+	for replay := 1; replay <= 2; replay++ {
+		arena := top.takeSlabs()
+		queues, _, _, err := top.demux(serverSource(50000), nil, arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := queues[0].blocks
+		if len(blocks) == 0 {
+			t.Fatal("shard 0 got no rows")
+		}
+		top.putSlabs(arena)
+		for i, b := range blocks {
+			if b != nil {
+				t.Errorf("replay %d: shard 0's block %d still references a slab", replay, i)
+			}
+		}
+		for i, q := range queues {
+			if q.blocks != nil || q.tail != nil {
+				t.Errorf("replay %d: shard %d's queue still references its blocks", replay, i)
+			}
+		}
+		if arena.free != nil || arena.spare != nil || arena.used != nil || arena.queues != nil {
+			t.Errorf("replay %d: the arena still references slabs or queues after putSlabs", replay)
+		}
+	}
+	if len(top.spare) == 0 {
+		t.Error("the topology kept no slabs after its second replay")
+	}
 }
 
 func mustTopology(t *testing.T, cfg TopologyConfig) *Topology {

@@ -1,9 +1,12 @@
 package trackertest
 
 import (
+	"context"
 	"testing"
 
 	"pride/internal/analytic"
+	"pride/internal/campaign"
+	"pride/internal/engine"
 	"pride/internal/fuzz"
 	"pride/internal/sim"
 )
@@ -21,6 +24,8 @@ type SearchSpec struct {
 	// Config is the search configuration. Config.Attack.Params must be set;
 	// the analytic bound is computed from it.
 	Config fuzz.Config
+	// Engine evaluates every genome.
+	Engine engine.Kind
 	// Seed drives the search.
 	Seed uint64
 	// Bounded asserts the search plateaus at or below the analytic
@@ -41,7 +46,10 @@ func RunSearchConformance(t *testing.T, s SearchSpec) {
 	if s.Bounded && s.Climbs {
 		t.Fatalf("%s: Bounded and Climbs are mutually exclusive", s.Name)
 	}
-	res := fuzz.Search(s.Config, s.Scheme, s.Seed)
+	res, err := fuzz.SearchCampaign(context.Background(), s.Config, s.Scheme, s.Seed, campaign.Options{Engine: s.Engine})
+	if err != nil {
+		t.Fatalf("%s: search failed: %v", s.Name, err)
+	}
 	bound := analytic.EvaluateScheme(analytic.SchemePrIDE, s.Config.Attack.Params,
 		analytic.DefaultTargetTTFYears).TRHStar
 
@@ -68,7 +76,7 @@ func RunSearchConformance(t *testing.T, s SearchSpec) {
 
 	t.Run("BestReproducible", func(t *testing.T) {
 		replay := sim.RunAttackEngine(s.Config.Attack, s.Scheme, res.BestGenome.Build(),
-			res.BestSeed, s.Config.Engine)
+			res.BestSeed, s.Engine)
 		if replay.MaxDisturbance != res.BestDisturbance {
 			t.Fatalf("replaying the best genome under its recorded seed gave %d, search reported %d",
 				replay.MaxDisturbance, res.BestDisturbance)

@@ -24,11 +24,12 @@ func cpuTrial(i int) uint64 {
 //
 //	go test ./internal/trialrunner -bench=RunScaling -benchtime=3x
 func BenchmarkRunScaling(b *testing.B) {
-	serial := Run(1, 64, cpuTrial, func(a, n uint64) uint64 { return a + n })
+	sum := func(a, n uint64) uint64 { return a + n }
+	serial := fold(mapAll(b, 1, 64, cpuTrial), sum)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				got := Run(workers, 64, cpuTrial, func(a, n uint64) uint64 { return a + n })
+				got := fold(mapAll(b, workers, 64, cpuTrial), sum)
 				if got != serial {
 					b.Fatalf("workers=%d produced %#x, serial produced %#x", workers, got, serial)
 				}

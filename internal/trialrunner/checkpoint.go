@@ -230,8 +230,8 @@ func readCheckpoint(cp Checkpoint, trials int, faults CheckpointFaults) (map[int
 // different experiment or trial count errors (wrapping ErrStaleCheckpoint)
 // unless cp.ForceFresh archives the file. Campaigns whose trials form a
 // dependency chain (the island search's migration epochs) use it to restore
-// intermediate state before calling MapCheckpointed, which only hands back
-// stored results after the run completes.
+// intermediate state before calling MapCheckpointedWorker, which only hands
+// back stored results after the run completes.
 func LoadCheckpoint(cp Checkpoint, trials int) (map[int]json.RawMessage, error) {
 	return loadCheckpoint(cp, trials, nil)
 }
@@ -437,7 +437,16 @@ func (w *checkpointWriter) close() error {
 	return err
 }
 
-// MapCheckpointed is MapOpts with a durable resume layer. With cp.Enabled():
+// MapCheckpointedWorker is MapOpts with a stable worker index and a durable
+// resume layer. The trial function receives the index of the worker
+// goroutine running it, in [0, opts.PoolSize(trials)): two trials that
+// observe the same worker index never run concurrently, and a
+// single-worker run executes every trial inline with worker index 0, so
+// engines can keep one reusable scratch arena per worker index. The worker
+// index must only select scratch storage — never influence a trial's
+// result — or the worker-count invariance the package guarantees is lost.
+//
+// With cp.Enabled():
 //
 //   - Results already recorded under cp.Path (same key, same trial count)
 //     are not re-executed; they are restored from disk into the returned
@@ -452,15 +461,9 @@ func (w *checkpointWriter) close() error {
 // run, stored ones decoded from the checkpoint. R must round-trip through
 // encoding/json exactly; the integer-counter results in this repository all
 // do, which is what makes resumed merges bit-identical.
-func MapCheckpointed[R any](ctx context.Context, trials int, trial func(i int) R, onDone func(i int, r R) error, opts Options, cp Checkpoint) ([]R, error) {
-	return MapCheckpointedWorker(ctx, trials, func(_, i int) R { return trial(i) }, onDone, opts, cp)
-}
-
-// MapCheckpointedWorker is MapCheckpointed for worker-indexed trial
-// functions; see MapOptsWorker for the worker-index contract.
 func MapCheckpointedWorker[R any](ctx context.Context, trials int, trial func(worker, i int) R, onDone func(i int, r R) error, opts Options, cp Checkpoint) ([]R, error) {
 	if !cp.Enabled() {
-		return MapOptsWorker(ctx, trials, trial, onDone, opts)
+		return mapOptsWorker(ctx, trials, trial, onDone, opts)
 	}
 	if trials < 0 {
 		panic(fmt.Sprintf("trialrunner: trials must be >= 0, got %d", trials))
@@ -504,7 +507,7 @@ func MapCheckpointedWorker[R any](ctx context.Context, trials int, trial func(wo
 		return nil
 	}
 
-	results, runErr := MapOptsWorker(ctx, trials, trial, wrapped, opts)
+	results, runErr := mapOptsWorker(ctx, trials, trial, wrapped, opts)
 	if cerr := w.close(); runErr == nil {
 		runErr = cerr
 	}
@@ -522,29 +525,4 @@ func MapCheckpointedWorker[R any](ctx context.Context, trials int, trial func(wo
 		return results, fmt.Errorf("trialrunner: removing completed checkpoint: %w", err)
 	}
 	return results, nil
-}
-
-// RunCheckpointed is the fold counterpart of MapCheckpointed: on a nil error
-// it merges all trial results strictly in trial order (stored and fresh
-// alike), exactly like Run. Requires trials >= 1.
-func RunCheckpointed[R any](ctx context.Context, trials int, trial func(i int) R, merge func(acc, next R) R, onDone func(i int, r R) error, opts Options, cp Checkpoint) (R, error) {
-	return RunCheckpointedWorker(ctx, trials, func(_, i int) R { return trial(i) }, merge, onDone, opts, cp)
-}
-
-// RunCheckpointedWorker is RunCheckpointed for worker-indexed trial
-// functions; see MapOptsWorker for the worker-index contract.
-func RunCheckpointedWorker[R any](ctx context.Context, trials int, trial func(worker, i int) R, merge func(acc, next R) R, onDone func(i int, r R) error, opts Options, cp Checkpoint) (R, error) {
-	var zero R
-	if trials < 1 {
-		panic(fmt.Sprintf("trialrunner: RunCheckpointed requires trials >= 1, got %d", trials))
-	}
-	results, err := MapCheckpointedWorker(ctx, trials, trial, onDone, opts, cp)
-	if err != nil {
-		return zero, err
-	}
-	acc := results[0]
-	for i := 1; i < trials; i++ {
-		acc = merge(acc, results[i])
-	}
-	return acc, nil
 }

@@ -36,12 +36,12 @@ func tmpCheckpoint(t *testing.T) Checkpoint {
 
 func TestRunCheckpointedCompletesAndCleansUp(t *testing.T) {
 	cp := tmpCheckpoint(t)
-	want := Run(1, 17, cpTrial, cpMerge)
-	got, err := RunCheckpointed(context.Background(), 17, cpTrial, cpMerge, nil, Options{Workers: 3}, cp)
+	want := fold(mapAll(t, 1, 17, cpTrial), cpMerge)
+	results, err := MapCheckpointedWorker(context.Background(), 17, indexed(cpTrial), nil, Options{Workers: 3}, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got := fold(results, cpMerge); !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpointed result differs:\n got %+v\nwant %+v", got, want)
 	}
 	if _, err := os.Stat(cp.Path); !os.IsNotExist(err) {
@@ -51,14 +51,14 @@ func TestRunCheckpointedCompletesAndCleansUp(t *testing.T) {
 
 func TestRunCheckpointedResumeIsBitIdentical(t *testing.T) {
 	const trials = 40
-	want := Run(1, trials, cpTrial, cpMerge)
+	want := fold(mapAll(t, 1, trials, cpTrial), cpMerge)
 
 	for _, cancelAt := range []int64{1, 7, 20, 39} {
 		for _, workers := range []int{1, 2, 7} {
 			cp := tmpCheckpoint(t)
 			ctx, cancel := context.WithCancel(context.Background())
 			var done atomic.Int64
-			_, err := RunCheckpointed(ctx, trials, cpTrial, cpMerge, func(i int, r cpResult) error {
+			_, err := MapCheckpointedWorker(ctx, trials, indexed(cpTrial), func(i int, r cpResult) error {
 				if done.Add(1) == cancelAt {
 					cancel()
 				}
@@ -74,13 +74,13 @@ func TestRunCheckpointedResumeIsBitIdentical(t *testing.T) {
 
 			// Resume at a different worker count than the interrupted run.
 			var fresh atomic.Int64
-			got, err := RunCheckpointed(context.Background(), trials,
-				func(i int) cpResult { fresh.Add(1); return cpTrial(i) },
-				cpMerge, nil, Options{Workers: workers%3 + 1}, cp)
+			results, err := MapCheckpointedWorker(context.Background(), trials,
+				func(_, i int) cpResult { fresh.Add(1); return cpTrial(i) },
+				nil, Options{Workers: workers%3 + 1}, cp)
 			if err != nil {
 				t.Fatalf("cancelAt=%d workers=%d: resume failed: %v", cancelAt, workers, err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if got := fold(results, cpMerge); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cancelAt=%d workers=%d: resumed result differs from uninterrupted run", cancelAt, workers)
 			}
 			if n := fresh.Load(); n > trials-cancelAt {
@@ -98,7 +98,7 @@ func TestMapCheckpointedToleratesTruncatedTail(t *testing.T) {
 	// bytes off the tail to simulate a crash mid-write.
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	_, err := MapCheckpointed(ctx, trials, cpTrial, func(i int, r cpResult) error {
+	_, err := MapCheckpointedWorker(ctx, trials, indexed(cpTrial), func(i int, r cpResult) error {
 		if done.Add(1) == trials-1 {
 			cancel()
 		}
@@ -116,7 +116,7 @@ func TestMapCheckpointedToleratesTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := MapCheckpointed(context.Background(), trials, cpTrial, nil, Options{Workers: 2}, cp)
+	got, err := MapCheckpointedWorker(context.Background(), trials, indexed(cpTrial), nil, Options{Workers: 2}, cp)
 	if err != nil {
 		t.Fatalf("resume over truncated tail failed: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestCheckpointKeyMismatchRejected(t *testing.T) {
 	cp := tmpCheckpoint(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	_, _ = MapCheckpointed(ctx, 10, cpTrial, func(i int, r cpResult) error {
+	_, _ = MapCheckpointedWorker(ctx, 10, indexed(cpTrial), func(i int, r cpResult) error {
 		if done.Add(1) == 3 {
 			cancel()
 		}
@@ -141,12 +141,12 @@ func TestCheckpointKeyMismatchRejected(t *testing.T) {
 
 	other := cp
 	other.Key = "test|seed=2"
-	_, err := MapCheckpointed(context.Background(), 10, cpTrial, nil, Options{Workers: 1}, other)
+	_, err := MapCheckpointedWorker(context.Background(), 10, indexed(cpTrial), nil, Options{Workers: 1}, other)
 	if err == nil || !strings.Contains(err.Error(), "different experiment") {
 		t.Fatalf("key mismatch not rejected: %v", err)
 	}
 
-	_, err = MapCheckpointed(context.Background(), 11, cpTrial, nil, Options{Workers: 1}, cp)
+	_, err = MapCheckpointedWorker(context.Background(), 11, indexed(cpTrial), nil, Options{Workers: 1}, cp)
 	if err == nil || !strings.Contains(err.Error(), "trials") {
 		t.Fatalf("trial-count mismatch not rejected: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestCheckpointKeyMismatchRejected(t *testing.T) {
 
 func TestCheckpointPanickedTrialNotRecorded(t *testing.T) {
 	cp := tmpCheckpoint(t)
-	_, err := MapCheckpointed(context.Background(), 6, func(i int) cpResult {
+	_, err := MapCheckpointedWorker(context.Background(), 6, func(_, i int) cpResult {
 		if i == 2 {
 			panic("flaky trial")
 		}
@@ -167,7 +167,7 @@ func TestCheckpointPanickedTrialNotRecorded(t *testing.T) {
 	// The checkpoint survives with the healthy trials; a fixed binary can
 	// resume and only re-run the panicked one.
 	var fresh atomic.Int64
-	got, err := MapCheckpointed(context.Background(), 6, func(i int) cpResult {
+	got, err := MapCheckpointedWorker(context.Background(), 6, func(_, i int) cpResult {
 		fresh.Add(1)
 		return cpTrial(i)
 	}, nil, Options{Workers: 1}, cp)
@@ -196,7 +196,7 @@ func TestCheckpointReportsSkipsToObserver(t *testing.T) {
 	cp := tmpCheckpoint(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	_, _ = MapCheckpointed(ctx, 10, cpTrial, func(i int, r cpResult) error {
+	_, _ = MapCheckpointedWorker(ctx, 10, indexed(cpTrial), func(i int, r cpResult) error {
 		if done.Add(1) == 4 {
 			cancel()
 		}
@@ -205,7 +205,7 @@ func TestCheckpointReportsSkipsToObserver(t *testing.T) {
 	cancel()
 
 	var obs skipCountingObserver
-	_, err := MapCheckpointed(context.Background(), 10, cpTrial, nil, Options{Workers: 2, Observer: &obs}, cp)
+	_, err := MapCheckpointedWorker(context.Background(), 10, indexed(cpTrial), nil, Options{Workers: 2, Observer: &obs}, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCheckpointReportsSkipsToObserver(t *testing.T) {
 }
 
 func TestCheckpointDisabledPassthrough(t *testing.T) {
-	got, err := MapCheckpointed(context.Background(), 5, cpTrial, nil, Options{Workers: 1}, Checkpoint{})
+	got, err := MapCheckpointedWorker(context.Background(), 5, indexed(cpTrial), nil, Options{Workers: 1}, Checkpoint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCheckpointDisabledPassthrough(t *testing.T) {
 func TestCheckpointCreatesParentDirectory(t *testing.T) {
 	dir := t.TempDir()
 	cp := Checkpoint{Path: filepath.Join(dir, "nested", "deep", "run.ckpt"), Key: "k"}
-	_, err := MapCheckpointed(context.Background(), 3, cpTrial, nil, Options{Workers: 1}, cp)
+	_, err := MapCheckpointedWorker(context.Background(), 3, indexed(cpTrial), nil, Options{Workers: 1}, cp)
 	if err != nil {
 		t.Fatal(err)
 	}

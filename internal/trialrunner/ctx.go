@@ -13,8 +13,8 @@ import (
 
 // PanicError reports a trial that panicked. The pool recovers the panic on
 // the worker goroutine, so one faulty trial surfaces as an error result from
-// MapOpts/RunCheckpointed instead of killing the whole process (and, for a
-// checkpointed campaign, instead of losing every completed trial).
+// MapOpts/MapCheckpointedWorker instead of killing the whole process (and,
+// for a checkpointed campaign, instead of losing every completed trial).
 type PanicError struct {
 	// Trial is the index of the trial that panicked.
 	Trial int
@@ -203,7 +203,7 @@ func (o Options) workers() int {
 // PoolSize returns the number of distinct worker indices a run over the
 // given trial count will use: the resolved pool size, clamped to the trial
 // count. Engines that keep per-worker scratch state size their scratch
-// slices with this before calling MapOptsWorker and friends.
+// slices with this before calling MapCheckpointedWorker.
 func (o Options) PoolSize(trials int) int {
 	w := o.workers()
 	if trials >= 1 && w > trials {
@@ -212,8 +212,11 @@ func (o Options) PoolSize(trials int) int {
 	return w
 }
 
-// MapOpts executes trials 0..trials-1 on a worker pool and returns their
-// results indexed by trial number, like Map, with three additions:
+// MapOpts executes trials 0..trials-1 on up to opts.Workers goroutines and
+// returns their results indexed by trial number. The assignment of trials
+// to workers is dynamic (an atomic work counter, so long trials do not
+// stall the pool), but the returned slice depends only on the trial
+// function. On top of that it provides:
 //
 //   - Cancellation: when ctx is cancelled the pool drains gracefully — no
 //     new trials are claimed, in-flight trials run to completion (so their
@@ -232,20 +235,13 @@ func (o Options) PoolSize(trials int) int {
 // pure function of the trial function — worker count, cancellation timing
 // and hooks never change the value any individual trial produces.
 func MapOpts[R any](ctx context.Context, trials int, trial func(i int) R, onDone func(i int, r R) error, opts Options) ([]R, error) {
-	return MapOptsWorker(ctx, trials, func(_, i int) R { return trial(i) }, onDone, opts)
+	return mapOptsWorker(ctx, trials, func(_, i int) R { return trial(i) }, onDone, opts)
 }
 
-// MapOptsWorker is MapOpts for trial functions that also receive the stable
-// index of the worker goroutine executing them, in [0, opts.PoolSize(trials)).
-// Two trials that observe the same worker index never run concurrently, and a
-// single-worker run executes every trial inline with worker index 0, so
-// engines can keep one reusable scratch arena per worker index instead of
-// allocating per trial.
-//
-// The worker index must only select scratch storage — never influence a
-// trial's result — or the worker-count invariance the package guarantees is
-// lost.
-func MapOptsWorker[R any](ctx context.Context, trials int, trial func(worker, i int) R, onDone func(i int, r R) error, opts Options) ([]R, error) {
+// mapOptsWorker is the pool behind MapOpts and MapCheckpointedWorker: MapOpts
+// for trial functions that also receive the index of the worker running
+// them (see MapCheckpointedWorker for the worker-index contract).
+func mapOptsWorker[R any](ctx context.Context, trials int, trial func(worker, i int) R, onDone func(i int, r R) error, opts Options) ([]R, error) {
 	workers := opts.workers()
 	if err := ValidateWorkers(workers); err != nil {
 		panic(err)
@@ -408,24 +404,4 @@ func MapOptsWorker[R any](ctx context.Context, trials int, trial func(worker, i 
 		errs = append(errs, err)
 	}
 	return results, errors.Join(errs...)
-}
-
-// RunOpts is the fold counterpart of MapOpts: on a nil error it merges the
-// results strictly in trial order, exactly like Run. Requires trials >= 1
-// and no skipped trials (use RunCheckpointed when resuming from stored
-// results).
-func RunOpts[R any](ctx context.Context, trials int, trial func(i int) R, merge func(acc, next R) R, onDone func(i int, r R) error, opts Options) (R, error) {
-	var zero R
-	if trials < 1 {
-		panic(fmt.Sprintf("trialrunner: RunOpts requires trials >= 1, got %d", trials))
-	}
-	results, err := MapOpts(ctx, trials, trial, onDone, opts)
-	if err != nil {
-		return zero, err
-	}
-	acc := results[0]
-	for i := 1; i < trials; i++ {
-		acc = merge(acc, results[i])
-	}
-	return acc, nil
 }

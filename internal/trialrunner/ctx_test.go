@@ -13,7 +13,7 @@ import (
 
 func TestMapOptsMatchesMap(t *testing.T) {
 	trial := func(i int) int { return i * i }
-	want := Map(3, 100, trial)
+	want := mapAll(t, 3, 100, trial)
 	for _, workers := range []int{1, 2, 7} {
 		got, err := MapOpts(context.Background(), 100, trial, nil, Options{Workers: workers})
 		if err != nil {
@@ -76,24 +76,6 @@ func TestMapOptsMultiplePanicsSortedByTrial(t *testing.T) {
 	if i3 < 0 || i10 < 0 || i17 < 0 || !(i3 < i10 && i10 < i17) {
 		t.Fatalf("panics not reported in trial order:\n%s", msg)
 	}
-}
-
-func TestMapRepanicsOnTrialPanic(t *testing.T) {
-	defer func() {
-		v := recover()
-		if v == nil {
-			t.Fatal("Map did not re-panic")
-		}
-		if !strings.Contains(fmt.Sprint(v), "trial 2 panicked") {
-			t.Fatalf("re-panic does not name the trial: %v", v)
-		}
-	}()
-	Map(2, 5, func(i int) int {
-		if i == 2 {
-			panic("kaput")
-		}
-		return i
-	})
 }
 
 func TestMapOptsCancellationDrains(t *testing.T) {
@@ -221,21 +203,6 @@ func TestMapOptsObserverPairsStartEnd(t *testing.T) {
 	}
 }
 
-func TestRunOptsMatchesRun(t *testing.T) {
-	trial := func(i int) int { return i * i }
-	merge := func(a, b int) int { return a + b }
-	want := Run(4, 33, trial, merge)
-	for _, workers := range []int{1, 2, 5} {
-		got, err := RunOpts(context.Background(), 33, trial, merge, nil, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: RunOpts = %d, want %d", workers, got, want)
-		}
-	}
-}
-
 func TestMapOptsWorkerIndexContract(t *testing.T) {
 	// Worker indices must be stable scratch selectors: always in
 	// [0, PoolSize(trials)), with trials sharing an index never running
@@ -246,7 +213,7 @@ func TestMapOptsWorkerIndexContract(t *testing.T) {
 		pool := opts.PoolSize(trials)
 		busy := make([]atomic.Bool, pool)
 		var bad atomic.Bool
-		_, err := MapOptsWorker(context.Background(), trials, func(worker, i int) int {
+		_, err := MapCheckpointedWorker(context.Background(), trials, func(worker, i int) int {
 			if worker < 0 || worker >= pool {
 				bad.Store(true)
 				return 0
@@ -258,7 +225,7 @@ func TestMapOptsWorkerIndexContract(t *testing.T) {
 			time.Sleep(time.Microsecond)
 			busy[worker].Store(false)
 			return worker
-		}, nil, opts)
+		}, nil, opts, Checkpoint{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -269,12 +236,12 @@ func TestMapOptsWorkerIndexContract(t *testing.T) {
 }
 
 func TestSingleWorkerSeesIndexZero(t *testing.T) {
-	_, err := MapOptsWorker(context.Background(), 10, func(worker, i int) int {
+	_, err := MapCheckpointedWorker(context.Background(), 10, func(worker, i int) int {
 		if worker != 0 {
 			t.Errorf("trial %d on worker %d, want 0", i, worker)
 		}
 		return i
-	}, nil, Options{Workers: 1})
+	}, nil, Options{Workers: 1}, Checkpoint{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestCheckpointShortWriteRetriesAndRecovers(t *testing.T) {
 	// newline terminator isolates the fragment.
 	inj.Arm(faultinject.SiteCheckpointWrite, faultinject.Trigger{Nth: 2, Kind: faultinject.KindShortWrite})
 	obs := &retryObs{}
-	got, err := MapCheckpointed(context.Background(), trials, cpTrial, nil,
+	got, err := MapCheckpointedWorker(context.Background(), trials, indexed(cpTrial), nil,
 		Options{Workers: 1, Observer: obs, Faults: inj}, cp)
 	if err != nil {
 		t.Fatalf("short-write fault was not retried away: %v", err)
@@ -52,7 +52,7 @@ func TestCheckpointPersistentWriteFaultSurfaces(t *testing.T) {
 	cp.RetryBackoff = time.Microsecond
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.SiteCheckpointWrite, faultinject.Trigger{Every: 1})
-	_, err := MapCheckpointed(context.Background(), 4, cpTrial, nil,
+	_, err := MapCheckpointedWorker(context.Background(), 4, indexed(cpTrial), nil,
 		Options{Workers: 1, Faults: inj}, cp)
 	if err == nil {
 		t.Fatal("persistent write fault did not surface")
@@ -68,7 +68,7 @@ func TestCheckpointMidFileCorruptionKeepsIntactRecords(t *testing.T) {
 	// Interrupt just before the end so a populated checkpoint survives.
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	_, err := MapCheckpointed(ctx, trials, cpTrial, func(i int, r cpResult) error {
+	_, err := MapCheckpointedWorker(ctx, trials, indexed(cpTrial), func(i int, r cpResult) error {
 		if done.Add(1) == trials-1 {
 			cancel()
 		}
@@ -105,8 +105,8 @@ func TestCheckpointMidFileCorruptionKeepsIntactRecords(t *testing.T) {
 	}
 
 	var fresh atomic.Int64
-	got, err := MapCheckpointed(context.Background(), trials,
-		func(i int) cpResult { fresh.Add(1); return cpTrial(i) },
+	got, err := MapCheckpointedWorker(context.Background(), trials,
+		func(_, i int) cpResult { fresh.Add(1); return cpTrial(i) },
 		nil, Options{Workers: 1}, cp)
 	if err != nil {
 		t.Fatalf("resume over corrupted record failed: %v", err)
@@ -147,8 +147,8 @@ func TestCheckpointLegacyV1Loads(t *testing.T) {
 	}
 
 	var fresh atomic.Int64
-	got, err := MapCheckpointed(context.Background(), trials,
-		func(i int) cpResult { fresh.Add(1); return cpTrial(i) },
+	got, err := MapCheckpointedWorker(context.Background(), trials,
+		func(_, i int) cpResult { fresh.Add(1); return cpTrial(i) },
 		nil, Options{Workers: 1}, cp)
 	if err != nil {
 		t.Fatalf("version-1 checkpoint did not load: %v", err)
@@ -167,7 +167,7 @@ func TestCheckpointKeyMismatchErrorIsActionable(t *testing.T) {
 	cp := tmpCheckpoint(t)
 	// Populate under one key, reopen under another.
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := MapCheckpointed(ctx, 4, cpTrial, func(i int, r cpResult) error {
+	_, err := MapCheckpointedWorker(ctx, 4, indexed(cpTrial), func(i int, r cpResult) error {
 		cancel()
 		return nil
 	}, Options{Workers: 1}, cp)
@@ -178,7 +178,7 @@ func TestCheckpointKeyMismatchErrorIsActionable(t *testing.T) {
 
 	other := cp
 	other.Key = "test|seed=2"
-	_, err = MapCheckpointed(context.Background(), 4, cpTrial, nil, Options{Workers: 1}, other)
+	_, err = MapCheckpointedWorker(context.Background(), 4, indexed(cpTrial), nil, Options{Workers: 1}, other)
 	if err == nil {
 		t.Fatal("key mismatch accepted")
 	}
@@ -195,7 +195,7 @@ func TestCheckpointKeyMismatchErrorIsActionable(t *testing.T) {
 func TestCheckpointForceFreshArchivesStale(t *testing.T) {
 	cp := tmpCheckpoint(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := MapCheckpointed(ctx, 4, cpTrial, func(i int, r cpResult) error {
+	_, err := MapCheckpointedWorker(ctx, 4, indexed(cpTrial), func(i int, r cpResult) error {
 		cancel()
 		return nil
 	}, Options{Workers: 1}, cp)
@@ -207,7 +207,7 @@ func TestCheckpointForceFreshArchivesStale(t *testing.T) {
 	forced := cp
 	forced.Key = "test|seed=2"
 	forced.ForceFresh = true
-	got, err := MapCheckpointed(context.Background(), 4, cpTrial, nil, Options{Workers: 1}, forced)
+	got, err := MapCheckpointedWorker(context.Background(), 4, indexed(cpTrial), nil, Options{Workers: 1}, forced)
 	if err != nil {
 		t.Fatalf("ForceFresh did not recover from the stale checkpoint: %v", err)
 	}
@@ -230,7 +230,7 @@ func TestCheckpointForceFreshDoesNotMaskIOErrors(t *testing.T) {
 	cp.ForceFresh = true
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.SiteCheckpointOpen, faultinject.Trigger{Nth: 1})
-	_, err := MapCheckpointed(context.Background(), 4, cpTrial, nil,
+	_, err := MapCheckpointedWorker(context.Background(), 4, indexed(cpTrial), nil,
 		Options{Workers: 1, Faults: inj}, cp)
 	if err == nil {
 		t.Fatal("ForceFresh swallowed an injected open failure")
@@ -258,7 +258,7 @@ func TestResumeBitIdenticalUnderInjectedWriteFaults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	inj.BindCancel(cancel)
-	_, err = MapCheckpointed(ctx, trials, cpTrial, nil, Options{Workers: 1, Faults: inj}, cp)
+	_, err = MapCheckpointedWorker(ctx, trials, indexed(cpTrial), nil, Options{Workers: 1, Faults: inj}, cp)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("chaos run err = %v, want Canceled", err)
 	}
@@ -268,7 +268,7 @@ func TestResumeBitIdenticalUnderInjectedWriteFaults(t *testing.T) {
 
 	// Undisturbed resume merges the surviving records with fresh trials into
 	// the exact undisturbed result.
-	got, err := MapCheckpointed(context.Background(), trials, cpTrial, nil, Options{Workers: 2}, cp)
+	got, err := MapCheckpointedWorker(context.Background(), trials, indexed(cpTrial), nil, Options{Workers: 2}, cp)
 	if err != nil {
 		t.Fatalf("resume after chaos run failed: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestCheckpointCreateAndRenameFaultsSurface(t *testing.T) {
 		cp := tmpCheckpoint(t)
 		inj := faultinject.New(1)
 		inj.Arm(site, faultinject.Trigger{Nth: 1})
-		_, err := MapCheckpointed(context.Background(), 3, cpTrial, nil,
+		_, err := MapCheckpointedWorker(context.Background(), 3, indexed(cpTrial), nil,
 			Options{Workers: 1, Faults: inj}, cp)
 		if err == nil {
 			t.Fatalf("site %s: injected fault did not surface", site)

@@ -21,11 +21,15 @@
 // With workers == 1 the runner executes every trial inline on the calling
 // goroutine — the exact serial path, with no goroutines or channels — and
 // any workers >= 2 produces bit-identical merged results.
+//
+// Two entry points share one pool: MapCheckpointedWorker, the core every
+// campaign runs on (cancellation, panic isolation, retry, durable
+// checkpoint/resume, a stable worker index for per-worker scratch), and
+// MapOpts, the same pool without a checkpoint or worker index. Callers fold
+// the returned results in trial order themselves.
 package trialrunner
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 )
@@ -36,68 +40,12 @@ func DefaultWorkers() int {
 }
 
 // ValidateWorkers reports whether a worker count is usable. CLIs surface
-// this error for their -workers flag; the Run/Map entry points panic on the
-// same condition because by then it is a programmer error.
+// this error for their -workers flag; MapOpts and MapCheckpointedWorker
+// panic on the same condition (after resolving 0 to DefaultWorkers())
+// because by then it is a programmer error.
 func ValidateWorkers(workers int) error {
 	if workers < 1 {
 		return fmt.Errorf("trialrunner: workers must be >= 1, got %d", workers)
 	}
 	return nil
-}
-
-// Map executes trials 0..trials-1 on up to `workers` goroutines and returns
-// their results indexed by trial number. The assignment of trials to workers
-// is dynamic (an atomic work counter, so long trials do not stall the pool),
-// but the returned slice depends only on the trial function.
-//
-// A panicking trial re-panics on the calling goroutine (wrapped in a
-// *PanicError), never on a worker: programmer errors still fail loudly, but
-// the sibling trials finish first and the process dies with a stack that
-// names the trial. Cancellable or error-reporting callers should use MapOpts
-// instead.
-func Map[R any](workers, trials int, trial func(i int) R) []R {
-	if err := ValidateWorkers(workers); err != nil {
-		panic(err)
-	}
-	results, err := MapOpts(context.Background(), trials, trial, nil, Options{Workers: workers})
-	MustPanicFree(err)
-	return results
-}
-
-// MustPanicFree panics if err is non-nil. A *PanicError re-panics with the
-// original trial's stack appended, so the process still dies with a trace
-// that names the faulty trial. The panic-propagating wrappers (Map, and the
-// engines' Parallel entry points, which delegate to their cancellable
-// Campaign counterparts) use it to keep their historical fail-loud contract.
-func MustPanicFree(err error) {
-	if err == nil {
-		return
-	}
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		panic(fmt.Sprintf("%v\n%s", err, pe.Stack))
-	}
-	panic(err)
-}
-
-// Run executes trials 0..trials-1 across `workers` goroutines and folds the
-// partial results strictly in trial order:
-//
-//	acc := trial(0); acc = merge(acc, trial(1)); ... ; merge(acc, trial(n-1))
-//
-// merge may mutate and return its first argument (every partial result is
-// owned by the fold once its trial completes). Because the fold order is
-// fixed, merge does not need to be commutative — running maxima with
-// first-wins tie-breaking and float accumulation both come out bit-identical
-// for every worker count. Requires trials >= 1.
-func Run[R any](workers, trials int, trial func(i int) R, merge func(acc, next R) R) R {
-	if trials < 1 {
-		panic(fmt.Sprintf("trialrunner: Run requires trials >= 1, got %d", trials))
-	}
-	results := Map(workers, trials, trial)
-	acc := results[0]
-	for i := 1; i < trials; i++ {
-		acc = merge(acc, results[i])
-	}
-	return acc
 }

@@ -1,12 +1,40 @@
 package trialrunner
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"pride/internal/rng"
 )
+
+// mapAll runs trials 0..trials-1 through MapOpts on `workers` workers and
+// fails the test on an error.
+func mapAll[R any](tb testing.TB, workers, trials int, trial func(i int) R) []R {
+	tb.Helper()
+	results, err := MapOpts(context.Background(), trials, trial, nil, Options{Workers: workers})
+	if err != nil {
+		tb.Fatalf("workers=%d: %v", workers, err)
+	}
+	return results
+}
+
+// fold merges results strictly in trial order, the way the campaigns fold
+// what the pool returns.
+func fold[R any](results []R, merge func(acc, next R) R) R {
+	acc := results[0]
+	for _, r := range results[1:] {
+		acc = merge(acc, r)
+	}
+	return acc
+}
+
+// indexed adapts a trial function to MapCheckpointedWorker's worker-indexed
+// form.
+func indexed[R any](trial func(i int) R) func(worker, i int) R {
+	return func(_, i int) R { return trial(i) }
+}
 
 // workerCounts is the satellite-mandated determinism grid: serial, a small
 // pool, and the machine's full width.
@@ -21,7 +49,7 @@ func workerCounts() []int {
 func TestMapReturnsResultsInTrialOrder(t *testing.T) {
 	for _, workers := range workerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := Map(workers, 100, func(i int) int { return i * i })
+			got := mapAll(t, workers, 100, func(i int) int { return i * i })
 			for i, v := range got {
 				if v != i*i {
 					t.Fatalf("result[%d] = %d, want %d", i, v, i*i)
@@ -32,15 +60,15 @@ func TestMapReturnsResultsInTrialOrder(t *testing.T) {
 }
 
 func TestRunFoldsInTrialOrder(t *testing.T) {
-	// A deliberately non-commutative merge (list append): the fold order,
-	// and hence the output, must be 0..n-1 for every worker count.
+	// A deliberately non-commutative merge (list append) over the pool's
+	// results: the fold order, and hence the output, must be 0..n-1 for
+	// every worker count.
 	want := make([]int, 64)
 	for i := range want {
 		want[i] = i
 	}
 	for _, workers := range workerCounts() {
-		got := Run(workers, len(want),
-			func(i int) []int { return []int{i} },
+		got := fold(mapAll(t, workers, len(want), func(i int) []int { return []int{i} }),
 			func(acc, next []int) []int { return append(acc, next...) })
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
@@ -66,20 +94,20 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		return total
 	}
 	merge := func(a, b uint64) uint64 { return a + b }
-	want := Run(1, trials, trial, merge)
+	want := fold(mapAll(t, 1, trials, trial), merge)
 	for _, workers := range workerCounts()[1:] {
-		if got := Run(workers, trials, trial, merge); got != want {
+		if got := fold(mapAll(t, workers, trials, trial), merge); got != want {
 			t.Fatalf("workers=%d: merged sum %#x != serial %#x", workers, got, want)
 		}
 	}
 }
 
 func TestMapHandlesEdgeShapes(t *testing.T) {
-	if got := Map(8, 0, func(i int) int { return i }); len(got) != 0 {
+	if got := mapAll(t, 8, 0, func(i int) int { return i }); len(got) != 0 {
 		t.Fatalf("0 trials returned %d results", len(got))
 	}
 	// More workers than trials: the pool must clamp, not deadlock.
-	got := Map(64, 3, func(i int) int { return i + 1 })
+	got := mapAll(t, 64, 3, func(i int) int { return i + 1 })
 	for i, v := range got {
 		if v != i+1 {
 			t.Fatalf("result[%d] = %d", i, v)
@@ -115,9 +143,11 @@ func TestMapPanicsOnInvalidInput(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Map(0 workers)", func() { Map(0, 5, func(i int) int { return i }) })
-	mustPanic("Map(-1 trials)", func() { Map(1, -1, func(i int) int { return i }) })
-	mustPanic("Run(0 trials)", func() {
-		Run(1, 0, func(i int) int { return i }, func(a, b int) int { return a + b })
+	id := func(i int) int { return i }
+	ctx := context.Background()
+	mustPanic("MapOpts(-1 workers)", func() { MapOpts(ctx, 5, id, nil, Options{Workers: -1}) })
+	mustPanic("MapOpts(-1 trials)", func() { MapOpts(ctx, -1, id, nil, Options{Workers: 1}) })
+	mustPanic("MapCheckpointedWorker(-1 trials)", func() {
+		MapCheckpointedWorker(ctx, -1, indexed(id), nil, Options{Workers: 1}, Checkpoint{Path: t.TempDir() + "/c"})
 	})
 }
