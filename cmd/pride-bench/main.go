@@ -129,6 +129,8 @@ func engines(scale int) []engine {
 	// replay jobs.
 	daemonMapping := addrmap.Mapping{ColumnBits: 6, BankBits: 3, RowBits: 13, RankBits: 1, ChannelBits: 2, XORBankHash: true}
 	const genBatch = 4096 // the replay demux's batch size
+	stepACTs := scaled(1<<17, scale, 1<<13)
+	const stepBlock = 4096 // the replay shard queue's block size
 
 	return []engine{
 		{
@@ -401,6 +403,35 @@ func engines(scale int) []engine {
 			},
 		},
 		{
+			name: "replay-step", unit: "ACT", unitsPerOp: stepACTs, guardAllocs: true,
+			bench: func(b *testing.B) {
+				// The exact replay step of one shard, the layer under
+				// server-replay-path that holds its controller, PrIDE
+				// tracker and DRAM disturbance accounting: one op replays
+				// the rows shard 0 gets from a demuxed mix of the eight
+				// memory-intensive generators, one ActivateRows call per
+				// queue block, on a controller reused through Reset.
+				topo, err := system.NewTopology(system.TopologyConfig{
+					Params: dram.DDR5(), Mapping: replayMapping, Scheme: sim.PrIDEScheme(), TRH: 1000, Seed: 1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				p := topo.Params()
+				rows := shardRows(replayMapping, stepACTs)
+				ctrl := memctrl.New(memctrl.DefaultConfig(p), dram.MustNewBank(p, 1000), sim.PrIDEScheme().New(p, rng.New(1)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ctrl.Reset()
+					for j := 0; j < len(rows); j += stepBlock {
+						ctrl.ActivateRows(rows[j:min(j+stepBlock, len(rows))])
+					}
+					sink += ctrl.Stats().Mitigations
+				}
+			},
+		},
+		{
 			name: "server-replay-path", unit: "ACT", unitsPerOp: replayRecords,
 			bench: func(b *testing.B) {
 				// The full serial replay path: demux the record stream into
@@ -433,6 +464,43 @@ func engines(scale int) []engine {
 			},
 		},
 	}
+}
+
+// shardRows returns the first n rows that shard 0 of mapping m receives
+// from a mix of the eight memory-intensive generators (MPKI >= 5): bursts
+// of 32 records, each burst's tenant drawn by MPKI weight, routed as the
+// replay demux routes them.
+func shardRows(m addrmap.Mapping, n int) []int32 {
+	comp := m.MustCompile()
+	var (
+		tenants []*workload.AddrSource
+		weights []float64
+		total   float64
+	)
+	for i, spec := range workload.SPEC2017() {
+		if spec.MPKI >= 5 {
+			tenants = append(tenants, workload.NewAddrSource(spec, m, 1<<40, uint64(100+i)))
+			total += spec.MPKI
+			weights = append(weights, total)
+		}
+	}
+	pick := rng.New(3)
+	burst := make([]uint64, 32)
+	rows := make([]int32, 0, n)
+	for len(rows) < n {
+		u := pick.Float64() * total
+		k := 0
+		for weights[k] <= u {
+			k++
+		}
+		tenants[k].ReadBatch(burst)
+		for _, addr := range burst {
+			if channel, rank, bank, row := comp.Route(addr); channel == 0 && rank == 0 && bank == 0 && len(rows) < n {
+				rows = append(rows, int32(row))
+			}
+		}
+	}
+	return rows
 }
 
 // measure runs every engine once through testing.Benchmark.

@@ -45,7 +45,7 @@ func TestEnginesCoverTheGuardedHotPaths(t *testing.T) {
 	for _, want := range []string{
 		"loss-engine-10M", "loss-event-10M", "rounds-event",
 		"pride-hot-path", "para-hot-path", "pride-skip-path",
-		"attack-event", "pattern-loss-event", "workload-gen",
+		"attack-event", "pattern-loss-event", "workload-gen", "replay-step",
 	} {
 		if !names[want] {
 			t.Errorf("engine %q missing", want)

@@ -48,7 +48,16 @@ func (m Mapping) Validate() error {
 	if m.ColumnBits < 0 || m.BankBits < 0 || m.RowBits <= 0 || m.RankBits < 0 || m.ChannelBits < 0 {
 		return fmt.Errorf("addrmap: negative or zero field widths: %+v", m)
 	}
-	if total := m.ColumnBits + m.BankBits + m.RowBits + m.RankBits + m.ChannelBits; total > 62 {
+	// Each width is bounded before the sum, which could otherwise wrap
+	// around to a small total.
+	total := 0
+	for _, w := range [...]int{m.ColumnBits, m.BankBits, m.RowBits, m.RankBits, m.ChannelBits} {
+		if w > 62 {
+			return fmt.Errorf("addrmap: %d-bit field exceeds 62 address bits", w)
+		}
+		total += w
+	}
+	if total > 62 {
 		return fmt.Errorf("addrmap: %d address bits exceed 62", total)
 	}
 	if m.XORBankHash && m.RowBits < m.BankBits {

@@ -201,9 +201,10 @@ type Statistics struct {
 }
 
 var (
-	_ tracker.Tracker       = (*PrIDE)(nil)
-	_ tracker.SkipAdvancer  = (*PrIDE)(nil)
-	_ tracker.IdleMitigator = (*PrIDE)(nil)
+	_ tracker.Tracker        = (*PrIDE)(nil)
+	_ tracker.SkipAdvancer   = (*PrIDE)(nil)
+	_ tracker.IdleMitigator  = (*PrIDE)(nil)
+	_ tracker.BatchActivator = (*PrIDE)(nil)
 )
 
 // New returns a PrIDE tracker with the given configuration, drawing
@@ -288,6 +289,30 @@ func (p *PrIDE) OnActivate(row int) {
 		return
 	}
 	p.insert(entry{row: row, level: 1})
+}
+
+// OnActivateRows implements tracker.BatchActivator: the per-ACT insertion
+// draws of rows run through one rng.Stream.FirstT loop that stops at each
+// success, so the draws, and any eviction draw an insertion makes, come in
+// exactly OnActivate's order. The insecure R1/R2 switches couple the
+// decision to buffer state and keep the per-row path.
+func (p *PrIDE) OnActivateRows(rows []int32) {
+	if !p.SupportsSkipAhead() {
+		for _, r := range rows {
+			p.OnActivate(int(r))
+		}
+		return
+	}
+	for {
+		i := p.rng.FirstT(p.insertT, len(rows))
+		if i == len(rows) {
+			p.stats.Activations += uint64(i)
+			return
+		}
+		p.stats.Activations += uint64(i + 1)
+		p.insert(entry{row: int(rows[i]), level: 1})
+		rows = rows[i+1:]
+	}
 }
 
 // SupportsSkipAhead implements tracker.SkipAdvancer. The insecure R1/R2

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -534,6 +535,70 @@ func BenchmarkActivateMitigateCycle(b *testing.B) {
 		pr.OnActivate(i & 0x1FFFF)
 		if i%79 == 78 {
 			pr.OnMitigate()
+		}
+	}
+}
+
+// event is one observer notification.
+type event struct {
+	kind EventKind
+	row  int
+}
+
+// TestOnActivateRowsMatchesOnActivate drives twin trackers on the
+// devirtualized stream path — one per-row OnActivate, one OnActivateRows
+// per block — for the default, Random-eviction, Random-mitigation and
+// insecure R1/R2 configurations, with mitigations between blocks. Every
+// observer event, the queue, the stats and the next raw draw must match.
+func TestOnActivateRowsMatchesOnActivate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"random-evict", func(c *Config) { c.Eviction = Random; c.InsertionProb = 0.2 }},
+		{"random-mitigate", func(c *Config) { c.Mitigation = Random; c.InsertionProb = 0.2 }},
+		{"insecure-r1", func(c *Config) { c.InsecureAlwaysInsertIfInvalid = true }},
+		{"insecure-r2", func(c *Config) { c.InsecureSkipDuplicates = true; c.InsertionProb = 0.3 }},
+	} {
+		name := tc.name
+		cfg := DefaultConfig(79)
+		tc.mut(&cfg)
+		stepStream, batchStream := rng.New(11), rng.New(11)
+		stepped, batched := New(cfg, stepStream), New(cfg, batchStream)
+		var se, be []event
+		stepped.Observe(func(k EventKind, row int) { se = append(se, event{k, row}) })
+		batched.Observe(func(k EventKind, row int) { be = append(be, event{k, row}) })
+		sched := rng.New(12)
+		for blk := 0; blk < 200; blk++ {
+			rows := make([]int32, sched.Intn(300))
+			for i := range rows {
+				rows[i] = int32(sched.Intn(64))
+			}
+			for _, r := range rows {
+				stepped.OnActivate(int(r))
+			}
+			batched.OnActivateRows(rows)
+			for m := sched.Intn(3); m > 0; m-- {
+				a, aok := stepped.OnMitigate()
+				b, bok := batched.OnMitigate()
+				if a != b || aok != bok {
+					t.Fatalf("%s block %d: OnMitigate (%v,%v) vs (%v,%v)", name, blk, a, aok, b, bok)
+				}
+			}
+		}
+		if !reflect.DeepEqual(se, be) {
+			t.Fatalf("%s: observer events diverged (%d vs %d events)", name, len(se), len(be))
+		}
+		if !reflect.DeepEqual(stepped.Snapshot(), batched.Snapshot()) || stepped.Stats() != batched.Stats() {
+			t.Fatalf("%s: state diverged:\nper-row %v %+v\nbatch   %v %+v", name,
+				stepped.Snapshot(), stepped.Stats(), batched.Snapshot(), batched.Stats())
+		}
+		if stepped.Stats().Insertions == 0 || stepped.Stats().Evictions == 0 {
+			t.Fatalf("%s: schedule never inserted and evicted: %+v", name, stepped.Stats())
+		}
+		if a, b := stepStream.Uint64(), batchStream.Uint64(); a != b {
+			t.Fatalf("%s: next raw draw %#x vs %#x", name, a, b)
 		}
 	}
 }

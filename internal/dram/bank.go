@@ -119,29 +119,85 @@ func (b *Bank) OnFlip(fn func(Flip)) { b.onFlip = fn }
 // SetSelfCheck enables or disables the bank's runtime invariant guards.
 func (b *Bank) SetSelfCheck(on bool) { b.selfCheck = on }
 
-// Activate issues a demand activation to row. It returns the row's
-// activation-run length so callers can track disturbance without re-reading
-// state.
+// Activate issues a demand activation to row: the one-row case of
+// ActivateRows. It returns the row's activation-run length so callers can
+// track disturbance without re-reading state.
 func (b *Bank) Activate(row int) int {
 	b.mustValidRow(row)
-	b.actIndex++
-	b.stats.DemandACTs++
-	// An activation senses and restores the row's own cells, so the
-	// activated row's disturbance count resets — this is why PrIDE's
-	// multi-level mitigation never needs to refresh the aggressor row
-	// itself (Section IV-E: "the aggressor row A does not need to be
-	// refreshed").
-	b.hammers[row] = 0
-	b.flipped[row] = false
-	b.actRun[row]++
-	if b.actRun[row] > b.maxDisturbance {
-		b.maxDisturbance = b.actRun[row]
-	}
-	if b.selfCheck && uint64(b.actRun[row]) > b.actIndex {
-		guard.Failf("dram.bank", "actrun-bound", "row %d run %d exceeds global ACT index %d", row, b.actRun[row], b.actIndex)
-	}
-	b.disturbNeighbors(row)
+	one := [1]int32{int32(row)}
+	b.ActivateRows(one[:])
 	return b.actRun[row]
+}
+
+// ActivateRows issues one demand activation per row, in order. An
+// activation senses and restores the row's own cells, so the activated
+// row's disturbance count resets — this is why PrIDE's multi-level
+// mitigation never needs to refresh the aggressor row itself (Section
+// IV-E: "the aggressor row A does not need to be refreshed") — and every
+// row within the blast radius takes one disturbance. The ACT index,
+// maxima and demand count live in locals for the whole loop and are
+// written back before a flip is reported and at the end, so callers and
+// OnFlip observers see exactly the state per-row activation would leave.
+// A row out of range panics after the rows before it took effect.
+func (b *Bank) ActivateRows(rows []int32) {
+	// Slicing the arrays to one length lets the compiler drop their bounds
+	// checks once row is known to be in range.
+	nrows, radius, trh := len(b.hammers), b.params.BlastRadius, b.trh
+	hammers, actRun, flipped := b.hammers, b.actRun[:nrows], b.flipped[:nrows]
+	idx, demand := b.actIndex, b.stats.DemandACTs
+	maxRun, maxHam := b.maxDisturbance, b.maxHammers
+	check := b.selfCheck
+	for i, r := range rows {
+		row := int(r)
+		if uint(row) >= uint(nrows) {
+			b.commit(idx, demand+uint64(i), maxRun, maxHam)
+			panic(fmt.Sprintf("dram: row %d out of range [0,%d)", row, nrows))
+		}
+		idx++
+		hammers[row] = 0
+		flipped[row] = false
+		run := actRun[row] + 1
+		actRun[row] = run
+		if run > maxRun {
+			maxRun = run
+		}
+		if check && uint64(run) > idx {
+			guard.Failf("dram.bank", "actrun-bound", "row %d run %d exceeds global ACT index %d", row, run, idx)
+		}
+		for d := 1; d <= radius; d++ {
+			// Victims below, then above: the order same-ACT flips are
+			// reported in.
+			if v := row - d; v >= 0 {
+				h := hammers[v] + 1
+				hammers[v] = h
+				if h > maxHam {
+					maxHam = h
+				}
+				if h >= trh && trh > 0 && !flipped[v] {
+					b.commit(idx, demand+uint64(i)+1, maxRun, maxHam)
+					b.flip(v)
+				}
+			}
+			if v := row + d; v < nrows {
+				h := hammers[v] + 1
+				hammers[v] = h
+				if h > maxHam {
+					maxHam = h
+				}
+				if h >= trh && trh > 0 && !flipped[v] {
+					b.commit(idx, demand+uint64(i)+1, maxRun, maxHam)
+					b.flip(v)
+				}
+			}
+		}
+	}
+	b.commit(idx, demand+uint64(len(rows)), maxRun, maxHam)
+}
+
+// commit writes ActivateRows' loop locals back to the bank.
+func (b *Bank) commit(idx, demand uint64, maxRun, maxHam int) {
+	b.actIndex, b.stats.DemandACTs = idx, demand
+	b.maxDisturbance, b.maxHammers = maxRun, maxHam
 }
 
 // HammerN issues n consecutive demand activations to row in closed form.
@@ -222,7 +278,8 @@ func (b *Bank) HammerN(row, n int) int {
 }
 
 // disturbNeighbors increments the hammer count of every row within the blast
-// radius of row and detects threshold crossings.
+// radius of row and detects threshold crossings: the disturbance of a
+// refresh, which activates the row internally but is no demand ACT.
 func (b *Bank) disturbNeighbors(row int) {
 	for d := 1; d <= b.params.BlastRadius; d++ {
 		for _, v := range [2]int{row - d, row + d} {
@@ -234,20 +291,25 @@ func (b *Bank) disturbNeighbors(row int) {
 				b.maxHammers = b.hammers[v]
 			}
 			if b.trh > 0 && b.hammers[v] >= b.trh && !b.flipped[v] {
-				if b.selfCheck && b.hammers[v] > b.trh {
-					// The count steps by one per ACT, so the first crossing
-					// must land exactly on the threshold.
-					guard.Failf("dram.bank", "flip-accounting", "row %d first crossed threshold at %d > trh %d", v, b.hammers[v], b.trh)
-				}
-				b.flipped[v] = true
-				f := Flip{Row: v, Hammers: b.hammers[v], ACTIndex: b.actIndex}
-				b.flips = append(b.flips, f)
-				b.stats.Flips++
-				if b.onFlip != nil {
-					b.onFlip(f)
-				}
+				b.flip(v)
 			}
 		}
+	}
+}
+
+// flip records victim v's first threshold crossing at the current ACT
+// index. The count steps by one per disturbance, so the crossing lands
+// exactly on the threshold.
+func (b *Bank) flip(v int) {
+	if b.selfCheck && b.hammers[v] > b.trh {
+		guard.Failf("dram.bank", "flip-accounting", "row %d first crossed threshold at %d > trh %d", v, b.hammers[v], b.trh)
+	}
+	b.flipped[v] = true
+	f := Flip{Row: v, Hammers: b.hammers[v], ACTIndex: b.actIndex}
+	b.flips = append(b.flips, f)
+	b.stats.Flips++
+	if b.onFlip != nil {
+		b.onFlip(f)
 	}
 }
 

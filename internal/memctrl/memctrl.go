@@ -92,6 +92,9 @@ type Controller struct {
 	// the tracker is empty, whole insertion-free cadence stretches collapse
 	// to modular arithmetic (see quietCadence).
 	idm tracker.IdleMitigator
+	// ba caches the tracker's BatchActivator capability, which ActivateRows
+	// hands a whole segment's rows to.
+	ba tracker.BatchActivator
 	// w is Params.ACTsPerTREFI(), the tREFI window in demand ACTs, computed
 	// once so the per-ACT cadence check is a compare, not a divide.
 	w int
@@ -115,6 +118,7 @@ func New(cfg Config, bank *dram.Bank, trk tracker.Tracker) *Controller {
 	c.im, _ = trk.(baseline.ImmediateMitigator)
 	c.sa, _ = trk.(tracker.Advancer)
 	c.idm, _ = trk.(tracker.IdleMitigator)
+	c.ba, _ = trk.(tracker.BatchActivator)
 	if cfg.SelfCheck {
 		bank.SetSelfCheck(true)
 		if sc, ok := trk.(tracker.SelfChecker); ok {
@@ -137,10 +141,47 @@ func (c *Controller) Stats() Stats { return c.stats }
 // the tracker observes the row, immediate (controller-side) mitigations are
 // drained, the RAA counter advances, and tREFI boundaries trigger REF.
 func (c *Controller) Activate(row int) {
-	c.stats.ACTs++
 	c.bank.Activate(row)
 	c.trk.OnActivate(row)
-	c.postActivate()
+	if c.im != nil {
+		c.drainImmediate()
+	}
+	c.advance(1)
+}
+
+// ActivateRows issues one demand activation per row, in order, with a
+// result identical to calling Activate on each row. It cuts the rows at
+// every RFM and REF boundary by ActivateRun's segment rule. Between two
+// boundaries the bank and the tracker never read each other's state, so
+// each segment runs through one bank loop, then through the tracker's
+// batch method (per-row OnActivate for a tracker without one), and then
+// the boundary fires. A tracker that mitigates immediately (PARA, MOAT,
+// the counter baselines) dispatches into the bank after each ACT, so its
+// segments keep the per-ACT step. OnFlip and tracker observers therefore
+// see a segment's bank events before its tracker events.
+func (c *Controller) ActivateRows(rows []int32) {
+	for len(rows) > 0 {
+		k := c.segment(len(rows), "ActivateRows")
+		seg := rows[:k]
+		switch {
+		case c.im != nil:
+			for _, r := range seg {
+				c.bank.Activate(int(r))
+				c.trk.OnActivate(int(r))
+				c.drainImmediate()
+			}
+		case c.ba != nil:
+			c.bank.ActivateRows(seg)
+			c.ba.OnActivateRows(seg)
+		default:
+			c.bank.ActivateRows(seg)
+			for _, r := range seg {
+				c.trk.OnActivate(int(r))
+			}
+		}
+		c.advance(k)
+		rows = rows[k:]
+	}
 }
 
 // SkipAdvancer returns the tracker's geometric skip-ahead capability, if the
@@ -188,10 +229,12 @@ func (c *Controller) ACTsToNextMitigation() int {
 // except the tracker applies the insertion without drawing. The tracker must
 // support skip-ahead (see SkipAdvancer); calling it otherwise panics.
 func (c *Controller) ActivateInsert(row int) {
-	c.stats.ACTs++
 	c.bank.Activate(row)
 	c.sa.ActivateInsert(row)
-	c.postActivate()
+	if c.im != nil {
+		c.drainImmediate()
+	}
+	c.advance(1)
 }
 
 // ActivateRun issues n consecutive demand activations of row, all of whose
@@ -206,7 +249,6 @@ func (c *Controller) ActivateRun(row, n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("memctrl: ActivateRun(%d, %d)", row, n))
 	}
-	w := c.w
 	for n > 0 {
 		// Re-checked every segment, not just at entry: a run that starts with
 		// an occupied tracker walks boundaries only until the REFs drain it,
@@ -215,49 +257,10 @@ func (c *Controller) ActivateRun(row, n int) {
 			c.bank.HammerN(row, n)
 			return
 		}
-		if c.cfg.SelfCheck {
-			// Cadence monotonicity: the loop must sit strictly inside the
-			// current tREFI (and RFM window), or a boundary was missed and
-			// the split will drift from the stepped path.
-			if c.actsInTREFI < 0 || c.actsInTREFI >= w {
-				guard.Failf("memctrl", "trefi-position", "ActivateRun: actsInTREFI %d outside [0,%d)", c.actsInTREFI, w)
-			}
-			if c.cfg.RFMThreshold > 0 && (c.raa < 0 || c.raa >= c.cfg.RFMThreshold) {
-				guard.Failf("memctrl", "raa-bound", "ActivateRun: raa %d outside [0,%d)", c.raa, c.cfg.RFMThreshold)
-			}
-		}
-		// Distance to the next cadence boundary, capped by the run.
-		k := w - c.actsInTREFI
-		if c.cfg.RFMThreshold > 0 {
-			if d := c.cfg.RFMThreshold - c.raa; d < k {
-				k = d
-			}
-		}
-		if n < k {
-			k = n
-		}
-		if c.cfg.SelfCheck && k < 1 {
-			// Progress: every segment must retire at least one ACT, or the
-			// split loops forever.
-			guard.Failf("memctrl", "skip-progress", "ActivateRun: segment length %d with %d ACTs left", k, n)
-		}
-		c.stats.ACTs += uint64(k)
+		k := c.segment(n, "ActivateRun")
 		c.bank.HammerN(row, k)
 		c.sa.AdvanceIdle(k)
-
-		if c.cfg.RFMThreshold > 0 {
-			c.raa += k
-			if c.raa >= c.cfg.RFMThreshold {
-				c.raa = 0
-				c.stats.RFMs++
-				c.mitigationOpportunity()
-			}
-		}
-		c.actsInTREFI += k
-		if c.actsInTREFI >= w {
-			c.actsInTREFI = 0
-			c.ref()
-		}
+		c.advance(k)
 		n -= k
 	}
 }
@@ -279,7 +282,6 @@ func (c *Controller) ActivateRunGroup(rows []int, phase, n int) {
 		c.ActivateRun(rows[0], n)
 		return
 	}
-	w := c.w
 	for n > 0 {
 		// Same mid-run collapse as ActivateRun: once the REF cadence empties
 		// the tracker, the rest of the stretch is one HammerCycle burst.
@@ -287,49 +289,50 @@ func (c *Controller) ActivateRunGroup(rows []int, phase, n int) {
 			c.bank.HammerCycle(rows, phase, n)
 			return
 		}
-		if c.cfg.SelfCheck {
-			if c.actsInTREFI < 0 || c.actsInTREFI >= w {
-				guard.Failf("memctrl", "trefi-position", "ActivateRunGroup: actsInTREFI %d outside [0,%d)", c.actsInTREFI, w)
-			}
-			if c.cfg.RFMThreshold > 0 && (c.raa < 0 || c.raa >= c.cfg.RFMThreshold) {
-				guard.Failf("memctrl", "raa-bound", "ActivateRunGroup: raa %d outside [0,%d)", c.raa, c.cfg.RFMThreshold)
-			}
-			if phase < 0 || phase >= q {
-				guard.Failf("memctrl", "group-phase", "ActivateRunGroup: phase %d outside [0,%d)", phase, q)
-			}
+		if c.cfg.SelfCheck && (phase < 0 || phase >= q) {
+			guard.Failf("memctrl", "group-phase", "ActivateRunGroup: phase %d outside [0,%d)", phase, q)
 		}
-		k := w - c.actsInTREFI
-		if c.cfg.RFMThreshold > 0 {
-			if d := c.cfg.RFMThreshold - c.raa; d < k {
-				k = d
-			}
-		}
-		if n < k {
-			k = n
-		}
-		if c.cfg.SelfCheck && k < 1 {
-			guard.Failf("memctrl", "skip-progress", "ActivateRunGroup: segment length %d with %d ACTs left", k, n)
-		}
-		c.stats.ACTs += uint64(k)
+		k := c.segment(n, "ActivateRunGroup")
 		c.bank.HammerCycle(rows, phase, k)
 		c.sa.AdvanceIdle(k)
 		phase = (phase + k) % q
-
-		if c.cfg.RFMThreshold > 0 {
-			c.raa += k
-			if c.raa >= c.cfg.RFMThreshold {
-				c.raa = 0
-				c.stats.RFMs++
-				c.mitigationOpportunity()
-			}
-		}
-		c.actsInTREFI += k
-		if c.actsInTREFI >= w {
-			c.actsInTREFI = 0
-			c.ref()
-		}
+		c.advance(k)
 		n -= k
 	}
+}
+
+// segment returns how many of the next n demand ACTs run before the next
+// cadence boundary: the rest of the current tREFI, capped by the rest of
+// the RFM window and by n. It is the one segment rule of ActivateRows,
+// ActivateRun and ActivateRunGroup; op names the caller in guard reports.
+func (c *Controller) segment(n int, op string) int {
+	w := c.w
+	if c.cfg.SelfCheck {
+		// Cadence monotonicity: a segment must start strictly inside the
+		// current tREFI (and RFM window), or a boundary was missed and the
+		// split will drift from the stepped path.
+		if c.actsInTREFI < 0 || c.actsInTREFI >= w {
+			guard.Failf("memctrl", "trefi-position", "%s: actsInTREFI %d outside [0,%d)", op, c.actsInTREFI, w)
+		}
+		if c.cfg.RFMThreshold > 0 && (c.raa < 0 || c.raa >= c.cfg.RFMThreshold) {
+			guard.Failf("memctrl", "raa-bound", "%s: raa %d outside [0,%d)", op, c.raa, c.cfg.RFMThreshold)
+		}
+	}
+	k := w - c.actsInTREFI
+	if c.cfg.RFMThreshold > 0 {
+		if d := c.cfg.RFMThreshold - c.raa; d < k {
+			k = d
+		}
+	}
+	if n < k {
+		k = n
+	}
+	if c.cfg.SelfCheck && k < 1 {
+		// Progress: every segment must retire at least one ACT, or the
+		// split loops forever.
+		guard.Failf("memctrl", "skip-progress", "%s: segment length %d with %d ACTs left", op, k, n)
+	}
+	return k
 }
 
 // quietCadence attempts to retire the controller-side cadence of n
@@ -373,33 +376,35 @@ func (c *Controller) quietCadence(n int) bool {
 	return true
 }
 
-// postActivate performs the per-ACT controller bookkeeping shared by
-// Activate and ActivateInsert: inline mitigation drain, RAA/RFM cadence, and
-// the tREFI/REF boundary.
-func (c *Controller) postActivate() {
-	// Controller-side schemes (PARA, Graphene) mitigate inline.
-	if c.im != nil {
-		for _, m := range c.im.DrainImmediate() {
-			c.dispatch(m)
-		}
+// drainImmediate dispatches the mitigations a controller-side scheme
+// (PARA, Graphene) issued on the last activation. Callers check c.im.
+func (c *Controller) drainImmediate() {
+	for _, m := range c.im.DrainImmediate() {
+		c.dispatch(m)
 	}
+}
 
+// advance is the one RFM/REF boundary step: it retires k demand ACTs that
+// stay within one segment (see segment; k = 1 for a single activation) and
+// fires the boundary they reach, RFM before REF when both land on the last
+// ACT — the stepped path's order.
+func (c *Controller) advance(k int) {
+	c.stats.ACTs += uint64(k)
 	// RFM: one extra mitigation opportunity per threshold ACTs.
-	if c.cfg.RFMThreshold > 0 {
-		c.raa++
-		if c.cfg.SelfCheck && c.raa > c.cfg.RFMThreshold {
-			guard.Failf("memctrl", "raa-bound", "postActivate: raa %d exceeds threshold %d", c.raa, c.cfg.RFMThreshold)
+	if t := c.cfg.RFMThreshold; t > 0 {
+		c.raa += k
+		if c.cfg.SelfCheck && c.raa > t {
+			guard.Failf("memctrl", "raa-bound", "advance: raa %d exceeds threshold %d", c.raa, t)
 		}
-		if c.raa >= c.cfg.RFMThreshold {
+		if c.raa >= t {
 			c.raa = 0
 			c.stats.RFMs++
 			c.mitigationOpportunity()
 		}
 	}
-
-	c.actsInTREFI++
+	c.actsInTREFI += k
 	if c.cfg.SelfCheck && c.actsInTREFI > c.w {
-		guard.Failf("memctrl", "trefi-position", "postActivate: actsInTREFI %d exceeds window %d", c.actsInTREFI, c.w)
+		guard.Failf("memctrl", "trefi-position", "advance: actsInTREFI %d exceeds window %d", c.actsInTREFI, c.w)
 	}
 	if c.actsInTREFI >= c.w {
 		c.actsInTREFI = 0

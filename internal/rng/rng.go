@@ -91,39 +91,6 @@ func (x *XorShift64Star) Intn(n int) int {
 	}
 }
 
-// PCG32 is a permuted-congruential generator producing 32-bit outputs from
-// 64-bit state. It models the small hardware PRNG a DRAM vendor would embed
-// next to each bank (the paper budgets a 7-bit TRNG; we only need its
-// *behavioural* role, a uniform sampler).
-type PCG32 struct {
-	state uint64
-	inc   uint64
-}
-
-// NewPCG32 returns a PCG32 with the given seed and stream selector.
-func NewPCG32(seed, stream uint64) *PCG32 {
-	p := &PCG32{inc: stream<<1 | 1}
-	p.state = 0
-	p.Uint32()
-	p.state += seed
-	p.Uint32()
-	return p
-}
-
-// Uint32 returns the next 32-bit value.
-func (p *PCG32) Uint32() uint32 {
-	old := p.state
-	p.state = old*6364136223846793005 + p.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
-}
-
-// Uint64 returns the next 64-bit value (two 32-bit draws).
-func (p *PCG32) Uint64() uint64 {
-	return uint64(p.Uint32())<<32 | uint64(p.Uint32())
-}
-
 // Stream wraps a Source with convenience samplers. The zero value is not
 // usable; construct with NewStream.
 type Stream struct {
@@ -164,6 +131,38 @@ func (s *Stream) Uint64() uint64 { return s.next() }
 // Float64 returns a uniform float64 in [0,1) with 53 bits of precision.
 func (s *Stream) Float64() float64 {
 	return float64(s.next()>>11) / (1 << 53)
+}
+
+// FirstT runs up to n BernoulliT(t) trials and stops at the first success:
+// it returns the success's index in [0, n), or n when all n trials fail.
+// It is the exact counterpart of SkipT: where SkipT samples the gap from
+// one draw, FirstT consumes the very draws n BernoulliT calls would — one
+// per trial up to and including the success (i+1 draws), or n when none
+// fires — and reaches the same decisions, so a caller can swap a per-event
+// BernoulliT loop for FirstT without moving its stream. A stream over the
+// workhorse generator runs the loop on a local copy of its state; any
+// other source keeps the interface path. n must be >= 0.
+func (s *Stream) FirstT(t Threshold, n int) int {
+	if n < 0 {
+		panic("rng: FirstT called with n < 0")
+	}
+	if x := s.xs; x != nil {
+		g := *x
+		for i := 0; i < n; i++ {
+			if g.BernoulliT(t) {
+				*x = g
+				return i
+			}
+		}
+		*x = g
+		return n
+	}
+	for i := 0; i < n; i++ {
+		if t.fires(s.src.Uint64()) {
+			return i
+		}
+	}
+	return n
 }
 
 // bernoulliBits is the precision of Bernoulli sampling: draws and thresholds

@@ -480,6 +480,79 @@ func TestSkipTDrawCountContract(t *testing.T) {
 	}
 }
 
+// TestFirstTMatchesBernoulliTLoop pins FirstT as the exact counterpart of
+// a BernoulliT loop: for every threshold and trial budget, the same index
+// of the first success, the same number of draws consumed, and the same
+// next raw draw afterwards — on the devirtualized path and the interface
+// path.
+func TestFirstTMatchesBernoulliTLoop(t *testing.T) {
+	type opaque struct{ Source }
+	for _, tr := range []Threshold{0, 1, NewThreshold(1.0 / 80), NewThreshold(0.5), 1 << 53} {
+		for _, seed := range []uint64{1, 31} {
+			ref := New(seed)
+			direct := New(seed)
+			viaIface := NewStream(opaque{NewXorShift64Star(seed)})
+			budgets := New(seed + 100)
+			for call := 0; call < 500; call++ {
+				n := budgets.Intn(300)
+				want := n
+				for i := 0; i < n; i++ {
+					if ref.BernoulliT(tr) {
+						want = i
+						break
+					}
+				}
+				if a, b := direct.FirstT(tr, n), viaIface.FirstT(tr, n); a != want || b != want {
+					t.Fatalf("t=%d seed %d call %d: FirstT(%d) stream=%d interface=%d, want %d", tr, seed, call, n, a, b, want)
+				}
+			}
+			next := ref.Uint64()
+			if a, b := direct.Uint64(), viaIface.Uint64(); a != next || b != next {
+				t.Fatalf("t=%d seed %d: next draw stream=%#x interface=%#x, want %#x", tr, seed, a, b, next)
+			}
+		}
+	}
+}
+
+func TestFirstTDrawCountContract(t *testing.T) {
+	// i+1 draws when trial i succeeds, n when none does: never a draw past
+	// the success, so the caller's own draws (an eviction's Intn) follow in
+	// the per-trial order.
+	for _, tr := range []Threshold{0, 1 << 50, 1 << 53} {
+		src := &countingSource{inner: NewXorShift64Star(9)}
+		s := NewStream(src)
+		for _, n := range []int{0, 1, 7, 80, 1000} {
+			before := src.draws
+			i := s.FirstT(tr, n)
+			want := n
+			if i < n {
+				want = i + 1
+			}
+			if got := src.draws - before; got != want {
+				t.Errorf("FirstT(t=%d, %d) = %d consumed %d draws, want %d", tr, n, i, got, want)
+			}
+		}
+	}
+	for _, s := range []*Stream{New(1), NewStream(&countingSource{inner: NewXorShift64Star(1)})} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("FirstT(-1) did not panic")
+				}
+			}()
+			s.FirstT(1, -1)
+		}()
+	}
+}
+
+func TestFirstTAllocationFree(t *testing.T) {
+	s := New(1)
+	th := NewThreshold(1.0 / 80)
+	if avg := testing.AllocsPerRun(1000, func() { s.FirstT(th, 256) }); avg != 0 {
+		t.Fatalf("FirstT allocates %v per call, want 0", avg)
+	}
+}
+
 func TestSkipTNonNegativeAndFinite(t *testing.T) {
 	// The smallest representable p maximizes the skip; even there the
 	// inverse CDF must stay non-negative and below the SkipNever sentinel.
@@ -640,28 +713,6 @@ func TestDerivedIsRandomAccess(t *testing.T) {
 		if av, bv := a.Uint64(), b.Uint64(); av != bv {
 			t.Fatalf("Derived(123,5) not reproducible at draw %d: %#x vs %#x", d, av, bv)
 		}
-	}
-}
-
-func TestPCG32Deterministic(t *testing.T) {
-	a := NewPCG32(42, 54)
-	b := NewPCG32(42, 54)
-	for i := 0; i < 100; i++ {
-		if a.Uint32() != b.Uint32() {
-			t.Fatal("PCG32 not deterministic")
-		}
-	}
-	c := NewPCG32(42, 55) // different stream must diverge
-	d := NewPCG32(42, 54)
-	diff := false
-	for i := 0; i < 100; i++ {
-		if c.Uint32() != d.Uint32() {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Fatal("PCG32 streams 54 and 55 identical")
 	}
 }
 

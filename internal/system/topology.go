@@ -458,16 +458,26 @@ func ReplayFingerprint(src trace.Source) (records uint64, crc uint32, err error)
 	}
 }
 
+// shardScratch is one worker's reusable replay state: the DRAM bank every
+// shard it runs resets first, and the block a scrambled shard's rows are
+// translated into. Both live and die with the worker's ReplayCampaign.
+type shardScratch struct {
+	bank *dram.Bank
+	rows []int32 // queueBlockRows long once the worker ran a scrambled shard
+}
+
 // replayShard replays one bank's row queue from scratch: tracker, stream,
 // controller and scrambler are built from index-derived seeds inside the
-// shard, and dbank — the calling worker's scratch bank — is reset first, so
-// the result depends only on (config, shard, queue) — the property that
-// makes replay bit-identical at any worker count, across retries and across
-// resumed campaigns. selfCheck arms the controller's invariant guards.
-func (t *Topology) replayShard(shard int, blocks [][]int32, dbank *dram.Bank, selfCheck bool) ShardResult {
+// shard, and the calling worker's scratch bank is reset first, so the
+// result depends only on (config, shard, queue) — the property that makes
+// replay bit-identical at any worker count, across retries and across
+// resumed campaigns. Each queue block goes to the controller in one
+// ActivateRows call. selfCheck arms the controller's invariant guards.
+func (t *Topology) replayShard(shard int, blocks [][]int32, sc *shardScratch, selfCheck bool) ShardResult {
 	channel, rank, bank := t.shardCoord(shard)
 	stream := rng.Derived(t.cfg.Seed, uint64(shard))
 	trk := t.cfg.Scheme.New(t.params, stream)
+	dbank := sc.bank
 	dbank.Reset()
 	mcfg := memctrl.DefaultConfig(t.params)
 	mcfg.RFMThreshold = t.rfmThreshold(channel)
@@ -480,17 +490,19 @@ func (t *Topology) replayShard(shard int, blocks [][]int32, dbank *dram.Bank, se
 	var scr *addrmap.RowScrambler
 	if t.cfg.ScrambleSeed != 0 {
 		scr = addrmap.NewRowScrambler(t.params.RowsPerBank, rng.DeriveSeed(t.cfg.ScrambleSeed, uint64(shard)))
+		if sc.rows == nil {
+			sc.rows = make([]int32, queueBlockRows)
+		}
 	}
 	for _, rows := range blocks {
 		if scr != nil {
-			for _, row := range rows {
-				ctrl.Activate(scr.Scramble(int(row)))
+			internal := sc.rows[:len(rows)]
+			for i, row := range rows {
+				internal[i] = int32(scr.Scramble(int(row)))
 			}
-		} else {
-			for _, row := range rows {
-				ctrl.Activate(int(row))
-			}
+			rows = internal
 		}
+		ctrl.ActivateRows(rows)
 	}
 
 	stats := ctrl.Stats()
@@ -561,15 +573,16 @@ func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts Re
 	}
 	selfCheck := t.cfg.SelfCheck || opts.SelfCheck
 	ropts := opts.Runner()
-	// One bank per worker index, reset at each shard's start: the bank's
-	// row arrays are the only shard state that is scratch, not built from
-	// the shard index.
-	banks := make([]*dram.Bank, ropts.PoolSize(t.Shards()))
+	// One scratch per worker index, its bank reset at each shard's start:
+	// the bank's row arrays and the scrambled-row block are the only shard
+	// state that is scratch, not built from the shard index.
+	scratch := make([]shardScratch, ropts.PoolSize(t.Shards()))
 	shards, err := trialrunner.MapCheckpointedWorker(ctx, t.Shards(), func(worker, i int) ShardResult {
-		if banks[worker] == nil {
-			banks[worker] = dram.MustNewBank(t.params, t.cfg.TRH)
+		sc := &scratch[worker]
+		if sc.bank == nil {
+			sc.bank = dram.MustNewBank(t.params, t.cfg.TRH)
 		}
-		return t.replayShard(i, queues[i].blocks, banks[worker], selfCheck)
+		return t.replayShard(i, queues[i].blocks, sc, selfCheck)
 	}, onDone, ropts, cp)
 	if err != nil {
 		return ReplayResult{}, err

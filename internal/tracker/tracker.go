@@ -50,6 +50,20 @@ type Tracker interface {
 	Reset()
 }
 
+// BatchActivator is implemented by trackers that observe a run of demand
+// activations in one call. Between two mitigation opportunities a
+// tracker's insertion decisions never read the DRAM bank, so the exact
+// replay step hands each REF/RFM segment's rows to the bank first and then
+// to the tracker in one call.
+type BatchActivator interface {
+	Tracker
+
+	// OnActivateRows observes rows in order. It must leave the tracker in
+	// exactly the state OnActivate(int(row)) for each row would, consuming
+	// the same draws in the same order.
+	OnActivateRows(rows []int32)
+}
+
 // Advancer is the fast-forward surface shared by every tracker the
 // event-driven engines can skip ahead: the pattern-independent insertion
 // decision has been pre-resolved by the caller (a geometric gap draw for

@@ -198,6 +198,35 @@ func TestSkipAhead(t *testing.T) {
 	}
 }
 
+// TestOnActivateRows runs the batch equivalence property against every
+// tracker.BatchActivator: one OnActivateRows call per block must draw once
+// per row and end where per-row OnActivate ends.
+func TestOnActivateRows(t *testing.T) {
+	const w = 79
+	pride := func(mut func(*core.Config)) func(r *rng.Stream) tracker.BatchActivator {
+		return func(r *rng.Stream) tracker.BatchActivator {
+			cfg := core.DefaultConfig(w)
+			mut(&cfg)
+			return core.New(cfg, r)
+		}
+	}
+	snapshot := func(tr tracker.Tracker) []tracker.Mitigation { return tr.(*core.PrIDE).Snapshot() }
+	stats := func(tr tracker.Tracker) any { return tr.(*core.PrIDE).Stats() }
+	for _, s := range []trackertest.BatchSpec{
+		{Name: "PrIDE", New: pride(func(*core.Config) {})},
+		{Name: "PrIDE-RFM16", New: pride(func(c *core.Config) { *c = core.RFMConfig(core.RFM16) })},
+		// p = 1/4: most blocks insert and evict many times.
+		{Name: "PrIDE-p1/4", New: pride(func(c *core.Config) { c.InsertionProb = 0.25 })},
+		{Name: "PrIDE-InsecureR1", New: pride(func(c *core.Config) { c.InsecureAlwaysInsertIfInvalid = true })},
+		{Name: "PrIDE-InsecureR2", New: pride(func(c *core.Config) { c.InsecureSkipDuplicates = true; c.InsertionProb = 0.25 })},
+	} {
+		s.Snapshot, s.Stats = snapshot, stats
+		t.Run(s.Name, func(t *testing.T) {
+			trackertest.RunBatch(t, s)
+		})
+	}
+}
+
 // TestScheduled runs the scheduled skip-ahead equivalence suite against
 // MINT, the one tracker that pre-commits its insertion positions: following
 // NextInsert must be bit-identical to stepping every activation.
