@@ -25,6 +25,7 @@ import (
 	"pride/internal/core"
 	"pride/internal/dram"
 	"pride/internal/energy"
+	"pride/internal/engine"
 	"pride/internal/fuzz"
 	"pride/internal/montecarlo"
 	"pride/internal/patterns"
@@ -56,7 +57,7 @@ func BenchmarkFig8LossVsPosition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := montecarlo.SimulateLoss(montecarlo.LossConfig{
 			Entries: 1, Window: w, InsertionProb: 1 / float64(w), Periods: 50_000,
-		}, rng.New(uint64(i)))
+		}, rng.New(uint64(i)), engine.Exact)
 		worst = res.PerPosition[0].LossProb()
 	}
 	b.ReportMetric(worst, "loss@K=1")
@@ -234,7 +235,7 @@ func BenchmarkFig18LossValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		worst := 0.0
 		for _, pat := range suite {
-			m := sim.MeasurePatternLoss(4, w, pat, 400_000, uint64(i))
+			m := sim.MeasurePatternLoss(4, w, pat, 400_000, uint64(i), engine.Exact)
 			// Compare only well-sampled rows: a max over rows with a
 			// handful of resolutions is an order statistic, not a loss
 			// estimate (see cmd/pride-attack's Fig 18 handling).
@@ -478,7 +479,7 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 				cfg.RowBits = pp.RowBits
 				return core.New(cfg, r)
 			}
-			res := sim.RunAttack(sim.AttackConfig{Params: p, ACTs: 100_000}, s, pat, uint64(i))
+			res := sim.RunAttack(sim.AttackConfig{Params: p, ACTs: 100_000}, s, pat, uint64(i), engine.Exact)
 			if n == 4 {
 				dist4 = res.MaxDisturbance
 			}

@@ -28,6 +28,7 @@ import (
 	"pride/internal/analytic"
 	"pride/internal/cli"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/patterns"
 	"pride/internal/report"
 	"pride/internal/sim"
@@ -158,7 +159,7 @@ func replayTrace(path string, acts int, seed uint64, zoo bool) (*report.Table, e
 		schemes = append(schemes, sim.ZooSchemes()...)
 	}
 	for _, s := range schemes {
-		res := sim.RunAttack(cfg, s, pat, seed)
+		res := sim.RunAttack(cfg, s, pat, seed, engine.Exact)
 		t.AddRow(s.Name, res.MaxDisturbance, res.MaxHammers, res.Mitigations)
 	}
 	return t, nil

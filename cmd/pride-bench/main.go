@@ -138,7 +138,7 @@ func engines(scale int) []engine {
 			bench: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := montecarlo.SimulateLoss(lossCfg, rng.New(1))
+					res := montecarlo.SimulateLoss(lossCfg, rng.New(1), eng.Exact)
 					sink += res.PerPosition[0].Insertions
 				}
 			},
@@ -148,7 +148,7 @@ func engines(scale int) []engine {
 			bench: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := montecarlo.SimulateLossEvent(lossCfg, rng.New(1))
+					res := montecarlo.SimulateLoss(lossCfg, rng.New(1), eng.Event)
 					sink += res.PerPosition[0].Insertions
 				}
 			},
@@ -158,7 +158,7 @@ func engines(scale int) []engine {
 			bench: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := montecarlo.SimulateRounds(roundCfg, rng.New(1))
+					res := montecarlo.SimulateRounds(roundCfg, rng.New(1), eng.Exact)
 					sink += uint64(res.Failures)
 				}
 			},
@@ -168,7 +168,7 @@ func engines(scale int) []engine {
 			bench: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := montecarlo.SimulateRoundsEvent(roundCfg, rng.New(1))
+					res := montecarlo.SimulateRounds(roundCfg, rng.New(1), eng.Event)
 					sink += uint64(res.Failures)
 				}
 			},
@@ -272,7 +272,7 @@ func engines(scale int) []engine {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := sim.RunAttack(attackCfg, sim.PrIDEScheme(), pat, uint64(i))
+					res := sim.RunAttack(attackCfg, sim.PrIDEScheme(), pat, uint64(i), eng.Exact)
 					sink += uint64(res.MaxDisturbance)
 				}
 			},
@@ -284,7 +284,7 @@ func engines(scale int) []engine {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := sim.RunAttackEngine(attackCfg, sim.PrIDEScheme(), pat, uint64(i), eng.Event)
+					res := sim.RunAttack(attackCfg, sim.PrIDEScheme(), pat, uint64(i), eng.Event)
 					sink += uint64(res.MaxDisturbance)
 				}
 			},
@@ -294,7 +294,7 @@ func engines(scale int) []engine {
 			bench: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := system.RunEngine(sysCfg, sim.PrIDEScheme(), uint64(i), eng.Exact)
+					res := system.Run(sysCfg, sim.PrIDEScheme(), uint64(i), eng.Exact)
 					sink += uint64(res.TREFIsSimulated)
 				}
 			},
@@ -307,7 +307,7 @@ func engines(scale int) []engine {
 				// draw, so ns/tREFI collapses vs the stepped engine.
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res := system.RunEngine(sysCfg, sim.PrIDEScheme(), uint64(i), eng.Event)
+					res := system.Run(sysCfg, sim.PrIDEScheme(), uint64(i), eng.Event)
 					sink += uint64(res.TREFIsSimulated)
 				}
 			},
@@ -319,7 +319,7 @@ func engines(scale int) []engine {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m := sim.MeasurePatternLoss(4, w, pat, lossActs, uint64(i))
+					m := sim.MeasurePatternLoss(4, w, pat, lossActs, uint64(i), eng.Exact)
 					sink += uint64(len(m.Rows))
 				}
 			},
@@ -331,7 +331,7 @@ func engines(scale int) []engine {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m := sim.MeasurePatternLossEngine(4, w, pat, lossActs, uint64(i), eng.Event)
+					m := sim.MeasurePatternLoss(4, w, pat, lossActs, uint64(i), eng.Event)
 					sink += uint64(len(m.Rows))
 				}
 			},

@@ -25,6 +25,7 @@ import (
 	"pride/internal/analytic"
 	"pride/internal/corpus"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/patterns"
 	"pride/internal/report"
 	"pride/internal/rng"
@@ -87,7 +88,7 @@ func buildShootout(opts shootoutOptions) (shootoutReport, error) {
 		bits := s.New(paper, rng.New(1)).StorageBits()
 
 		start := time.Now()
-		sim.RunAttack(sim.AttackConfig{Params: tp, ACTs: opts.ACTs}, s, pat.Clone(), 1)
+		sim.RunAttack(sim.AttackConfig{Params: tp, ACTs: opts.ACTs}, s, pat.Clone(), 1, engine.Exact)
 		ns := float64(time.Since(start).Nanoseconds()) / float64(opts.ACTs)
 
 		row := shootoutRow{Scheme: s.Name, StorageBits: bits, NsPerACT: ns}

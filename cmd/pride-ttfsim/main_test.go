@@ -38,6 +38,28 @@ func TestRunSchemeMINT(t *testing.T) {
 	}
 }
 
+// TestRunClaimsSoundnessOnlyWhenEveryMarginExceedsOne: MINT mitigates at
+// level 1 only, so the rows two out from an aggressor, disturbed by every
+// refresh of the aggressor's outer victim, fail long before the analytic
+// guarantee at TRH-D 500. The closing lines must then name that point
+// instead of claiming the model is sound everywhere.
+func TestRunClaimsSoundnessOnlyWhenEveryMarginExceedsOne(t *testing.T) {
+	var out, errOut strings.Builder
+	args := []string{"-scheme", "MINT", "-trhd", "500", "-banks", "2", "-trials", "2", "-horizon", "5000", "-workers", "1"}
+	if code := run(context.Background(), args, &out, &errOut); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "| 500          | 2/2") {
+		t.Fatalf("MINT did not fail both trials at TRH-D 500:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "Margin > 1 everywhere") {
+		t.Errorf("soundness claimed under a margin below 1:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "Margin <= 1 at TRH-D 500:") {
+		t.Errorf("closing lines do not name the TRH-D 500 point:\n%s", out.String())
+	}
+}
+
 func TestRunRejectsUnmeasurableSchemes(t *testing.T) {
 	// MOAT never fails below ATO, so a TTF measurement is rejected with an
 	// explanation rather than silently reporting an infinite MTTF.

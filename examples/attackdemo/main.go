@@ -15,6 +15,7 @@ import (
 
 	"pride/internal/baseline"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/patterns"
 	"pride/internal/report"
 	"pride/internal/rng"
@@ -73,7 +74,7 @@ func run(out io.Writer, acts int) {
 		for _, name := range []string{"TRR", "PRoHIT", "DSAC", "PrIDE"} {
 			for _, s := range schemes {
 				if s.Name == name {
-					res := sim.RunAttack(cfg, s, pat, 7)
+					res := sim.RunAttack(cfg, s, pat, 7, engine.Exact)
 					cells = append(cells, res.MaxDisturbance)
 				}
 			}

@@ -326,7 +326,7 @@ func (e Entry) Replay() (int, error) {
 		return 0, err
 	}
 	cfg := sim.AttackConfig{Params: e.Sidecar.Params(), ACTs: e.Sidecar.ACTs}
-	res := sim.RunAttackEngine(cfg, scheme, e.Pattern, e.Sidecar.Seed, eng)
+	res := sim.RunAttack(cfg, scheme, e.Pattern, e.Sidecar.Seed, eng)
 	return res.MaxDisturbance, nil
 }
 

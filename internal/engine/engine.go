@@ -7,15 +7,23 @@
 //     event engine is validated against.
 //   - Event advances the simulation clock directly to the next event (a
 //     probabilistic insertion, a tREFI/mitigation boundary, an RFM issue,
-//     or a pattern phase change) using geometric inter-arrival sampling,
-//     turning O(ACTs) work into O(events) work.
+//     or a pattern phase change), turning O(ACTs) work into O(events)
+//     work. A tracker whose insertion is a pattern-independent Bernoulli
+//     draw (PrIDE, PARA) is advanced by geometric inter-arrival sampling;
+//     a tracker that schedules its insertion per interval (MINT) is
+//     advanced to the scheduled slot; any other tracker, and the open-page
+//     policy, is stepped exactly as on the exact engine. For the
+//     controller-level experiments (attack, TTF, search) that choice is
+//     made in one place, sim.Drive.
 //
-// The two engines consume different numbers of raw RNG draws, so their
-// outputs are not bit-identical under one seed; they simulate the same
-// stochastic process, and the cross-validation suites hold their loss,
-// disturbance and MTTF distributions to agree within tight confidence
-// bounds. Deterministic components (bank hammer accounting, REF/RFM
-// cadence) are required to agree ACT-for-ACT.
+// The geometric path consumes different numbers of raw RNG draws than the
+// exact engine, so its outputs are not bit-identical under one seed (except
+// at insertion probability 1); it simulates the same stochastic process,
+// and the cross-validation suites hold its loss, disturbance and MTTF
+// distributions to agree within stated false-alarm rates. The scheduled and
+// stepped paths are bit-identical to the exact engine. Deterministic
+// components (bank hammer accounting, REF/RFM cadence) are required to
+// agree ACT-for-ACT.
 //
 // Checkpoint keys embed the engine kind: a campaign checkpointed under one
 // engine never resumes under the other.

@@ -313,7 +313,7 @@ func evolve(cfg Config, scheme sim.Scheme, eng engine.Kind, st *IslandState, gen
 // island stream.
 func evaluate(cfg Config, scheme sim.Scheme, eng engine.Kind, g Genome, r *rng.Stream) Member {
 	seed := r.Uint64()
-	res := sim.RunAttackEngine(cfg.Attack, scheme, g.Build(), seed, eng)
+	res := sim.RunAttack(cfg.Attack, scheme, g.Build(), seed, eng)
 	return Member{Genome: g, Score: res.MaxDisturbance, Seed: seed}
 }
 

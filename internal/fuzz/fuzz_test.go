@@ -84,7 +84,7 @@ func TestSearchReturnsValidResult(t *testing.T) {
 	if res.History[len(res.History)-1] != res.BestDisturbance {
 		t.Fatalf("history tail %d != best %d", res.History[len(res.History)-1], res.BestDisturbance)
 	}
-	replay := sim.RunAttackEngine(cfg.Attack, sim.PrIDEScheme(), res.BestGenome.Build(), res.BestSeed, engine.Event)
+	replay := sim.RunAttack(cfg.Attack, sim.PrIDEScheme(), res.BestGenome.Build(), res.BestSeed, engine.Event)
 	if replay.MaxDisturbance != res.BestDisturbance {
 		t.Fatalf("replaying best genome under its seed gave %d, search reported %d",
 			replay.MaxDisturbance, res.BestDisturbance)

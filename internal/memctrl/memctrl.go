@@ -85,7 +85,7 @@ type Controller struct {
 	// interface assertions out of the per-ACT hot path. Either is nil when
 	// the tracker lacks the capability. sa is the shared fast-forward
 	// surface; the engines refine it to SkipAdvancer (geometric gaps) or
-	// ScheduledAdvancer (interval schedules) at setup time.
+	// ScheduledAdvancer (interval schedules) before they advance.
 	im baseline.ImmediateMitigator
 	sa tracker.Advancer
 	// idm caches the tracker's IdleMitigator capability: when non-nil and
@@ -186,8 +186,8 @@ func (c *Controller) ActivateRows(rows []int32) {
 
 // SkipAdvancer returns the tracker's geometric skip-ahead capability, if the
 // tracker implements it AND its current configuration supports
-// pattern-independent insertion. The event-driven engines call this once at
-// setup to decide between the skip-ahead and exact paths.
+// pattern-independent insertion. sim.Drive calls it at the start of each
+// drive to decide between the skip-ahead and exact paths.
 func (c *Controller) SkipAdvancer() (tracker.SkipAdvancer, bool) {
 	if c.sa == nil || !c.sa.SupportsSkipAhead() {
 		return nil, false

@@ -127,21 +127,21 @@ func TestSelfCheckInvariance(t *testing.T) {
 	lcfg := LossConfig{Entries: 4, Window: 16, InsertionProb: 0.5, Periods: 4096}
 	checked := lcfg
 	checked.SelfCheck = true
-	if got, want := SimulateLoss(checked, rng.New(11)), SimulateLoss(lcfg, rng.New(11)); !reflect.DeepEqual(got, want) {
+	if got, want := SimulateLoss(checked, rng.New(11), engine.Exact), SimulateLoss(lcfg, rng.New(11), engine.Exact); !reflect.DeepEqual(got, want) {
 		t.Fatal("SelfCheck changed SimulateLoss's result")
 	}
-	if got, want := SimulateLossEvent(checked, rng.New(11)), SimulateLossEvent(lcfg, rng.New(11)); !reflect.DeepEqual(got, want) {
-		t.Fatal("SelfCheck changed SimulateLossEvent's result")
+	if got, want := SimulateLoss(checked, rng.New(11), engine.Event), SimulateLoss(lcfg, rng.New(11), engine.Event); !reflect.DeepEqual(got, want) {
+		t.Fatal("SelfCheck changed the event SimulateLoss result")
 	}
 
 	rcfg := RoundConfig{Entries: 4, Window: 16, InsertionProb: 0.5, TRH: 64, Rounds: 512}
 	rchecked := rcfg
 	rchecked.SelfCheck = true
-	if got, want := SimulateRounds(rchecked, rng.New(11)), SimulateRounds(rcfg, rng.New(11)); !reflect.DeepEqual(got, want) {
+	if got, want := SimulateRounds(rchecked, rng.New(11), engine.Exact), SimulateRounds(rcfg, rng.New(11), engine.Exact); !reflect.DeepEqual(got, want) {
 		t.Fatal("SelfCheck changed SimulateRounds's result")
 	}
-	if got, want := SimulateRoundsEvent(rchecked, rng.New(11)), SimulateRoundsEvent(rcfg, rng.New(11)); !reflect.DeepEqual(got, want) {
-		t.Fatal("SelfCheck changed SimulateRoundsEvent's result")
+	if got, want := SimulateRounds(rchecked, rng.New(11), engine.Event), SimulateRounds(rcfg, rng.New(11), engine.Event); !reflect.DeepEqual(got, want) {
+		t.Fatal("SelfCheck changed the event SimulateRounds result")
 	}
 
 	// Campaign-level SelfCheck (the -selfcheck flag path) is equally inert.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"pride/internal/analytic"
+	"pride/internal/engine"
 	"pride/internal/rng"
 )
 
@@ -31,7 +32,7 @@ func TestCrossValidateWorstPositionLoss(t *testing.T) {
 
 		res := SimulateLoss(LossConfig{
 			Entries: n, Window: w, InsertionProb: p, Periods: 60_000,
-		}, rng.New(seed))
+		}, rng.New(seed), engine.Exact)
 		s := res.PerPosition[0]
 		resolved := s.Evicted + s.Mitigated
 		if resolved < 200 {
@@ -54,7 +55,7 @@ func TestCrossValidateOccupancyChain(t *testing.T) {
 		want := analytic.NewLossModel(n, w, p).StationaryOccupancy()
 		res := SimulateLoss(LossConfig{
 			Entries: n, Window: w, InsertionProb: p, Periods: 40_000,
-		}, rng.New(seed))
+		}, rng.New(seed), engine.Exact)
 		got := res.OccupancyDistribution()
 		for x := 0; x < n; x++ {
 			if math.Abs(got[x]-want[x]) > 0.025 {
@@ -145,7 +146,7 @@ func TestCrossValidateHigherInsertionProbability(t *testing.T) {
 		}
 		res := SimulateLoss(LossConfig{
 			Entries: cfg.n, Window: cfg.w, InsertionProb: cfg.p, Periods: 150_000,
-		}, rng.New(uint64(cfg.n*cfg.w)))
+		}, rng.New(uint64(cfg.n*cfg.w)), engine.Exact)
 		got := res.PerPosition[0].LossProb()
 		if math.Abs(got-want) > 0.02 {
 			t.Errorf("n=%d w=%d p=%.4f: MC %.4f vs DP %.4f", cfg.n, cfg.w, cfg.p, got, want)

@@ -1,19 +1,18 @@
 package montecarlo
 
 import (
-	"fmt"
-
 	"pride/internal/guard"
 	"pride/internal/rng"
 )
 
-// This file implements the event-driven counterparts of SimulateLoss and
-// SimulateRounds. The exact engines pay one RNG draw and one branch per
-// activation slot; with PrIDE's pattern-independent Bernoulli(p) insertion
-// the overwhelming majority of slots are non-events, so the event engines
-// sample the geometric gap to the next insertion instead (rng.SkipT) and
-// advance the clock directly to it, handling the window boundaries crossed
-// on the way in closed form. Work drops from O(Periods·W) to O(insertions).
+// This file implements the event engine of SimulateLoss (SimulateRounds'
+// closed form lives with its exact loop). The exact engine pays one RNG draw
+// and one branch per activation slot; with PrIDE's pattern-independent
+// Bernoulli(p) insertion the overwhelming majority of slots are non-events,
+// so the event engine samples the geometric gap to the next insertion
+// instead (rng.SkipT) and advances the clock directly to it, handling the
+// window boundaries crossed on the way in closed form. Work drops from
+// O(Periods·W) to O(insertions).
 //
 // The two engines consume different raw draw SEQUENCES (one draw per
 // insertion instead of one per slot), so their outputs are not bit-identical
@@ -22,13 +21,8 @@ import (
 // else correctness is enforced by cross-validation against the exact engine
 // and the analytic DP model within confidence bounds.
 
-// SimulateLossEvent is the event-driven SimulateLoss: identical estimator,
-// identical attribution semantics, O(insertions) work. Results are
-// statistically (not bit-) equivalent to SimulateLoss under the same seed.
-func SimulateLossEvent(cfg LossConfig, r *rng.Stream) LossResult {
-	return simulateLossEvent(cfg, r, &lossScratch{})
-}
-
+// simulateLossEvent is the event engine of SimulateLoss: identical
+// estimator, identical attribution semantics, O(insertions) work.
 func simulateLossEvent(cfg LossConfig, r *rng.Stream, sc *lossScratch) LossResult {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -153,33 +147,6 @@ func simulateLossEvent(cfg LossConfig, r *rng.Stream, sc *lossScratch) LossResul
 	}
 	if rem > pops {
 		startOcc[0] += uint64(rem - pops - 1)
-	}
-	return res
-}
-
-// SimulateRoundsEvent is the event-driven SimulateRounds. The exact round
-// loop reduces to a closed form: every insertion in the single-row round
-// tracks the aggressor, so the round is mitigated iff the FIRST insertion
-// lands strictly before the last window boundary at slot B = (TRH/W)·W
-// (0-based; B = 0 when TRH < W means no boundary fires and every round
-// fails). One geometric draw decides each round.
-func SimulateRoundsEvent(cfg RoundConfig, r *rng.Stream) RoundResult {
-	if cfg.Entries <= 0 || cfg.Window <= 0 || cfg.TRH <= 0 || cfg.Rounds <= 0 {
-		panic(fmt.Sprintf("montecarlo: invalid round config %+v", cfg))
-	}
-	if cfg.InsertionProb <= 0 || cfg.InsertionProb > 1 {
-		panic(fmt.Sprintf("montecarlo: invalid insertion probability %v", cfg.InsertionProb))
-	}
-	if r == nil {
-		panic("montecarlo: nil rng stream")
-	}
-	res := RoundResult{Rounds: cfg.Rounds}
-	sk := rng.NewSkip(rng.NewThreshold(cfg.InsertionProb))
-	b := (cfg.TRH / cfg.Window) * cfg.Window
-	for round := 0; round < cfg.Rounds; round++ {
-		if r.SkipT(sk) >= b {
-			res.Failures++
-		}
 	}
 	return res
 }

@@ -33,8 +33,8 @@ func (c *countingStream) Uint64() uint64 {
 // attribution, and occupancy histogram.
 func TestLossEventBitIdenticalAtPOne(t *testing.T) {
 	c := LossConfig{Entries: 3, Window: 17, InsertionProb: 1, Periods: 5000}
-	exact := SimulateLoss(c, rng.New(7))
-	event := SimulateLossEvent(c, rng.New(7))
+	exact := SimulateLoss(c, rng.New(7), engine.Exact)
+	event := SimulateLoss(c, rng.New(7), engine.Event)
 	if !reflect.DeepEqual(exact, event) {
 		t.Fatalf("p=1 engines diverged:\nexact %+v\nevent %+v", exact, event)
 	}
@@ -57,9 +57,9 @@ func TestLossEventMatchesDPModel(t *testing.T) {
 			want += pi[x] * model.LossFromStart(x, 1)
 		}
 
-		res := SimulateLossEvent(LossConfig{
+		res := SimulateLoss(LossConfig{
 			Entries: n, Window: w, InsertionProb: p, Periods: 60_000,
-		}, rng.New(seed))
+		}, rng.New(seed), engine.Event)
 		s := res.PerPosition[0]
 		resolved := s.Evicted + s.Mitigated
 		if resolved < 200 {
@@ -84,9 +84,9 @@ func TestLossEventOccupancyMatchesMarkovChain(t *testing.T) {
 		w := int(wRaw%50) + 30
 		p := 1 / float64(w)
 		want := analytic.NewLossModel(n, w, p).StationaryOccupancy()
-		res := SimulateLossEvent(LossConfig{
+		res := SimulateLoss(LossConfig{
 			Entries: n, Window: w, InsertionProb: p, Periods: 40_000,
-		}, rng.New(seed))
+		}, rng.New(seed), engine.Event)
 		got := res.OccupancyDistribution()
 		for x := 0; x < n; x++ {
 			if math.Abs(got[x]-want[x]) > 0.025 {
@@ -111,7 +111,7 @@ func TestLossEventConservation(t *testing.T) {
 		{Entries: 2, Window: 30, InsertionProb: 0.4, Periods: 10_000},
 		{Entries: 5, Window: 25, InsertionProb: 1e-4, Periods: 50_000}, // mostly-empty: exercises the closed-form drains
 	} {
-		res := SimulateLossEvent(c, rng.New(uint64(c.Entries)))
+		res := SimulateLoss(c, rng.New(uint64(c.Entries)), engine.Event)
 		var starts uint64
 		for _, s := range res.StartOccupancy {
 			starts += s
@@ -137,8 +137,8 @@ func TestLossEventConservation(t *testing.T) {
 // independent seeds and a two-estimator binomial tolerance.
 func TestLossEventAgreesWithExactEngine(t *testing.T) {
 	c := cfg(2, 150_000)
-	exact := SimulateLoss(c, rng.New(3))
-	event := SimulateLossEvent(c, rng.New(4))
+	exact := SimulateLoss(c, rng.New(3), engine.Exact)
+	event := SimulateLoss(c, rng.New(4), engine.Event)
 	a, b := exact.PerPosition[0], event.PerPosition[0]
 	pa, pb := a.LossProb(), b.LossProb()
 	ra, rb := float64(a.Evicted+a.Mitigated), float64(b.Evicted+b.Mitigated)
@@ -166,7 +166,7 @@ func TestLossEventAgreesWithExactEngine(t *testing.T) {
 func TestLossEventDrawComplexity(t *testing.T) {
 	c := cfg(2, 20_000) // ~20k insertions over ~1.6M slots at p=1/79
 	src := &countingStream{inner: rng.NewXorShift64Star(5)}
-	res := SimulateLossEvent(c, rng.NewStream(src))
+	res := SimulateLoss(c, rng.NewStream(src), engine.Event)
 	var ins int64
 	for _, s := range res.PerPosition {
 		ins += int64(s.Insertions)
@@ -185,8 +185,8 @@ func TestRoundsEventMatchesExactDistribution(t *testing.T) {
 		{Entries: 1, Window: w79, InsertionProb: 1.0 / (w79 + 1), TRH: 4999, Rounds: 20_000},
 		{Entries: 4, Window: 16, InsertionProb: 1.0 / 17, TRH: 139, Rounds: 40_000},
 	} {
-		exact := SimulateRounds(rc, rng.New(21))
-		event := SimulateRoundsEvent(rc, rng.New(22))
+		exact := SimulateRounds(rc, rng.New(21), engine.Exact)
+		event := SimulateRounds(rc, rng.New(22), engine.Event)
 		pa, pb := exact.FailureProb(), event.FailureProb()
 		n := float64(rc.Rounds)
 		tol := 5*math.Sqrt(pa*(1-pa)/n+pb*(1-pb)/n) + 1e-9
@@ -197,10 +197,10 @@ func TestRoundsEventMatchesExactDistribution(t *testing.T) {
 	// TRH < W: no mitigation boundary fits in the round, both engines must
 	// report certain failure.
 	short := RoundConfig{Entries: 2, Window: w79, InsertionProb: 0.5, TRH: w79 - 1, Rounds: 500}
-	if got := SimulateRounds(short, rng.New(23)); got.Failures != got.Rounds {
+	if got := SimulateRounds(short, rng.New(23), engine.Exact); got.Failures != got.Rounds {
 		t.Fatalf("exact engine: %d/%d failures for TRH < W, want all", got.Failures, got.Rounds)
 	}
-	if got := SimulateRoundsEvent(short, rng.New(24)); got.Failures != got.Rounds {
+	if got := SimulateRounds(short, rng.New(24), engine.Event); got.Failures != got.Rounds {
 		t.Fatalf("event engine: %d/%d failures for TRH < W, want all", got.Failures, got.Rounds)
 	}
 }
@@ -208,7 +208,7 @@ func TestRoundsEventMatchesExactDistribution(t *testing.T) {
 // TestRoundsEventBelowAnalyticBound mirrors the exact engine's bound test.
 func TestRoundsEventBelowAnalyticBound(t *testing.T) {
 	rc := RoundConfig{Entries: 1, Window: w79, InsertionProb: 1.0 / w79, TRH: 1000, Rounds: 60_000}
-	res := SimulateRoundsEvent(rc, rng.New(31))
+	res := SimulateRounds(rc, rng.New(31), engine.Event)
 	bound := math.Pow(1-rc.InsertionProb, float64(rc.TRH-2*rc.Window))
 	if got := res.FailureProb(); got > bound {
 		t.Fatalf("event round failure %.6f exceeds analytic bound %.6f", got, bound)

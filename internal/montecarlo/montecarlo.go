@@ -12,6 +12,7 @@ package montecarlo
 import (
 	"fmt"
 
+	"pride/internal/engine"
 	"pride/internal/guard"
 	"pride/internal/rng"
 )
@@ -140,8 +141,13 @@ func (s *lossScratch) entries(n int) []taggedEntry {
 // SimulateLoss streams cfg.Periods windows through an N-entry FIFO tracker
 // with probabilistic insertion, FIFO eviction and one FIFO mitigation per
 // window, and attributes every eviction/mitigation to the insertion position
-// of the affected entry (the paper's Monte-Carlo methodology).
-func SimulateLoss(cfg LossConfig, r *rng.Stream) LossResult {
+// of the affected entry (the paper's Monte-Carlo methodology), on engine
+// eng. The event engine's result is statistically (not bit-) equivalent to
+// the exact engine's under the same stream; see event.go.
+func SimulateLoss(cfg LossConfig, r *rng.Stream, eng engine.Kind) LossResult {
+	if eng == engine.Event {
+		return simulateLossEvent(cfg, r, &lossScratch{})
+	}
 	return simulateLoss(cfg, r, &lossScratch{})
 }
 
@@ -224,13 +230,21 @@ func (r RoundResult) FailureProb() float64 {
 	return float64(r.Failures) / float64(r.Rounds)
 }
 
-// SimulateRounds measures the round-failure probability: the probability
-// that TRH consecutive aggressor activations never result in a mitigation of
-// the aggressor. Every activation slot is an aggressor activation (the
-// closed-page worst case), and the aggressor's entry competes with nothing
-// else — the pessimistic single-row round of Section III-A. The measured
-// probability must not exceed the analytic (1-p̂)^(TRH-tardiness) bound.
-func SimulateRounds(cfg RoundConfig, r *rng.Stream) RoundResult {
+// SimulateRounds measures the round-failure probability on engine eng: the
+// probability that TRH consecutive aggressor activations never result in a
+// mitigation of the aggressor. Every activation slot is an aggressor
+// activation (the closed-page worst case), and the aggressor's entry
+// competes with nothing else — the pessimistic single-row round of Section
+// III-A. The measured probability must not exceed the analytic
+// (1-p̂)^(TRH-tardiness) bound.
+//
+// The exact engine steps every slot of every round. The event engine uses
+// the loop's closed form: every insertion in the single-row round tracks
+// the aggressor, so the round is mitigated iff the FIRST insertion lands
+// strictly before the last window boundary at slot B = (TRH/W)·W (0-based;
+// B = 0 when TRH < W means no boundary fires and every round fails). One
+// geometric draw decides each round.
+func SimulateRounds(cfg RoundConfig, r *rng.Stream, eng engine.Kind) RoundResult {
 	if cfg.Entries <= 0 || cfg.Window <= 0 || cfg.TRH <= 0 || cfg.Rounds <= 0 {
 		panic(fmt.Sprintf("montecarlo: invalid round config %+v", cfg))
 	}
@@ -240,9 +254,19 @@ func SimulateRounds(cfg RoundConfig, r *rng.Stream) RoundResult {
 	if r == nil {
 		panic("montecarlo: nil rng stream")
 	}
+	res := RoundResult{Rounds: cfg.Rounds}
+	if eng == engine.Event {
+		sk := rng.NewSkip(rng.NewThreshold(cfg.InsertionProb))
+		b := (cfg.TRH / cfg.Window) * cfg.Window
+		for round := 0; round < cfg.Rounds; round++ {
+			if r.SkipT(sk) >= b {
+				res.Failures++
+			}
+		}
+		return res
+	}
 	const aggressor = 1 // single-row round: every slot activates the aggressor
 
-	res := RoundResult{Rounds: cfg.Rounds}
 	insertT := rng.NewThreshold(cfg.InsertionProb)
 	buf := make([]slot, cfg.Entries)
 	for round := 0; round < cfg.Rounds; round++ {

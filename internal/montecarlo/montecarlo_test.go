@@ -6,6 +6,7 @@ import (
 
 	"pride/internal/analytic"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/rng"
 )
 
@@ -17,7 +18,7 @@ func cfg(n, periods int) LossConfig {
 
 func TestSingleEntryMatchesClosedForm(t *testing.T) {
 	// Fig 8: Monte-Carlo per-position loss must match Eq. 7.
-	res := SimulateLoss(cfg(1, 400_000), rng.New(1))
+	res := SimulateLoss(cfg(1, 400_000), rng.New(1), engine.Exact)
 	for _, k := range []int{1, 10, 40, 70, 79} {
 		got := res.PerPosition[k-1].LossProb()
 		want := analytic.LossAtPosition(w79, k)
@@ -39,7 +40,7 @@ func TestMultiEntryNeverExceedsModel(t *testing.T) {
 	// position must stay below the model's overall L (Appendix C's claim).
 	for _, n := range []int{2, 4, 6, 16} {
 		model := analytic.LossProbability(n, w79, 1.0/w79)
-		res := SimulateLoss(cfg(n, 150_000), rng.New(uint64(n)))
+		res := SimulateLoss(cfg(n, 150_000), rng.New(uint64(n)), engine.Exact)
 		for k, ps := range res.PerPosition {
 			resolved := ps.Evicted + ps.Mitigated
 			if resolved == 0 {
@@ -61,7 +62,7 @@ func TestStartOccupancyMatchesMarkovChain(t *testing.T) {
 	// The Appendix-A Markov chain's stationary distribution must agree
 	// with the measured start-of-window occupancy histogram.
 	for _, n := range []int{2, 4} {
-		res := SimulateLoss(cfg(n, 300_000), rng.New(7+uint64(n)))
+		res := SimulateLoss(cfg(n, 300_000), rng.New(7+uint64(n)), engine.Exact)
 		got := res.OccupancyDistribution()
 		want := analytic.NewLossModel(n, w79, 1.0/w79).StationaryOccupancy()
 		for x := 0; x < n; x++ {
@@ -77,7 +78,7 @@ func TestStartOccupancyMatchesMarkovChain(t *testing.T) {
 }
 
 func TestPositionLossDecreasesInK(t *testing.T) {
-	res := SimulateLoss(cfg(4, 300_000), rng.New(3))
+	res := SimulateLoss(cfg(4, 300_000), rng.New(3), engine.Exact)
 	// Compare quartile buckets to smooth noise.
 	bucket := func(lo, hi int) float64 {
 		var ev, res2 uint64
@@ -94,7 +95,7 @@ func TestPositionLossDecreasesInK(t *testing.T) {
 }
 
 func TestInsertionRateMatchesP(t *testing.T) {
-	res := SimulateLoss(cfg(4, 100_000), rng.New(4))
+	res := SimulateLoss(cfg(4, 100_000), rng.New(4), engine.Exact)
 	var ins uint64
 	for _, s := range res.PerPosition {
 		ins += s.Insertions
@@ -122,7 +123,7 @@ func TestLossConfigValidation(t *testing.T) {
 					t.Errorf("config %d accepted: %+v", i, c)
 				}
 			}()
-			SimulateLoss(c, rng.New(1))
+			SimulateLoss(c, rng.New(1), engine.Exact)
 		}()
 	}
 	func() {
@@ -131,7 +132,7 @@ func TestLossConfigValidation(t *testing.T) {
 				t.Error("nil rng accepted")
 			}
 		}()
-		SimulateLoss(cfg(4, 10), nil)
+		SimulateLoss(cfg(4, 10), nil, engine.Exact)
 	}()
 }
 
@@ -143,7 +144,7 @@ func TestRoundsFailureBelowAnalyticBound(t *testing.T) {
 	bound := analytic.RoundFailureProb(r, float64(trh))
 	res := SimulateRounds(RoundConfig{
 		Entries: n, Window: w79, InsertionProb: 1.0 / w79, TRH: trh, Rounds: 40_000,
-	}, rng.New(5))
+	}, rng.New(5), engine.Exact)
 	got := res.FailureProb()
 	if got > bound {
 		t.Fatalf("measured round failure %.5f exceeds analytic bound %.5f", got, bound)
@@ -159,7 +160,7 @@ func TestRoundsFailureDecreasesWithTRH(t *testing.T) {
 	for _, trh := range []int{100, 200, 350} {
 		res := SimulateRounds(RoundConfig{
 			Entries: 4, Window: w79, InsertionProb: 1.0 / w79, TRH: trh, Rounds: 30_000,
-		}, rng.New(uint64(trh)))
+		}, rng.New(uint64(trh)), engine.Exact)
 		probs = append(probs, res.FailureProb())
 	}
 	for i := 1; i < len(probs); i++ {
@@ -175,12 +176,12 @@ func TestRoundsPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SimulateRounds(RoundConfig{Entries: 0, Window: 1, InsertionProb: 0.1, TRH: 1, Rounds: 1}, rng.New(1))
+	SimulateRounds(RoundConfig{Entries: 0, Window: 1, InsertionProb: 0.1, TRH: 1, Rounds: 1}, rng.New(1), engine.Exact)
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a := SimulateLoss(cfg(4, 20_000), rng.New(42))
-	b := SimulateLoss(cfg(4, 20_000), rng.New(42))
+	a := SimulateLoss(cfg(4, 20_000), rng.New(42), engine.Exact)
+	b := SimulateLoss(cfg(4, 20_000), rng.New(42), engine.Exact)
 	for k := range a.PerPosition {
 		if a.PerPosition[k] != b.PerPosition[k] {
 			t.Fatalf("position %d stats differ across identical runs", k+1)
@@ -191,6 +192,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func BenchmarkSimulateLoss1KPeriods(b *testing.B) {
 	r := rng.New(1)
 	for i := 0; i < b.N; i++ {
-		SimulateLoss(cfg(4, 1000), r)
+		SimulateLoss(cfg(4, 1000), r, engine.Exact)
 	}
 }

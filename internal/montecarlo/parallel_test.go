@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pride/internal/engine"
 	"pride/internal/rng"
 )
 
@@ -77,7 +78,7 @@ func TestSimulateLossParallelAgreesWithSerialEstimator(t *testing.T) {
 	// different estimator: its worst-position loss must agree with the
 	// single-stream engine within Monte-Carlo noise.
 	cfg := LossConfig{Entries: 1, Window: 79, InsertionProb: 1.0 / 79, Periods: 120_000}
-	serial := SimulateLoss(cfg, rng.New(11))
+	serial := SimulateLoss(cfg, rng.New(11), engine.Exact)
 	par := lossCampaign(t, cfg, 11, 4)
 	a, b := serial.PerPosition[0].LossProb(), par.PerPosition[0].LossProb()
 	if math.Abs(a-b) > 0.05 {

@@ -63,8 +63,12 @@ func MaxDisturbanceOverSuiteCampaign(ctx context.Context, cfg AttackConfig, s Sc
 		// Both engines run against a freshly-reset bank under the same
 		// derived seed, so a tripped event trial re-runs as the exact trial.
 		return campaign.Trial(opts, "sim.event", t,
-			func() AttackResult { return runAttack(cfg, s, pat, seed, sc.bankFor(cfg.Params, cfg.TRH)) },
-			func() AttackResult { return runAttackEvent(cfg, s, pat, seed, sc.bankFor(cfg.Params, cfg.TRH)) })
+			func() AttackResult {
+				return runAttack(cfg, s, pat, seed, sc.bankFor(cfg.Params, cfg.TRH), engine.Exact)
+			},
+			func() AttackResult {
+				return runAttack(cfg, s, pat, seed, sc.bankFor(cfg.Params, cfg.TRH), engine.Event)
+			})
 	}, onDone, ropts, cp)
 	if err != nil {
 		return AttackResult{}, err

@@ -72,8 +72,8 @@ func TestAttackSelfCheckInvariance(t *testing.T) {
 	checked.SelfCheck = true
 	pat := parallelSuite(5)[1] // TRRespass exercises the FIFO hardest
 	for _, eng := range []engine.Kind{engine.Exact, engine.Event} {
-		want := RunAttackEngine(cfg, PrIDEScheme(), pat.Clone(), 7, eng)
-		got := RunAttackEngine(checked, PrIDEScheme(), pat.Clone(), 7, eng)
+		want := RunAttack(cfg, PrIDEScheme(), pat.Clone(), 7, eng)
+		got := RunAttack(checked, PrIDEScheme(), pat.Clone(), 7, eng)
 		if got != want {
 			t.Fatalf("engine %v: SelfCheck changed the attack result:\n got %+v\nwant %+v", eng, got, want)
 		}

@@ -39,8 +39,8 @@ func TestRunAttackEngineBitIdenticalAtPOne(t *testing.T) {
 		patterns.TRRespass(1000, 40, 3),
 		blacksmithBreaker(),
 	} {
-		exact := RunAttackEngine(cfg, pOneScheme(), pat, 5, engine.Exact)
-		event := RunAttackEngine(cfg, pOneScheme(), pat, 5, engine.Event)
+		exact := RunAttack(cfg, pOneScheme(), pat, 5, engine.Exact)
+		event := RunAttack(cfg, pOneScheme(), pat, 5, engine.Event)
 		if !reflect.DeepEqual(exact, event) {
 			t.Errorf("%s: p=1 engines diverged:\nexact %+v\nevent %+v", pat.Name, exact, event)
 		}
@@ -79,36 +79,10 @@ func TestRunAttackEngineBitIdenticalAtPOneBatchedGroups(t *testing.T) {
 		if pat.CycleLen() > patterns.MaxBatchGroup {
 			t.Fatalf("%s: cycle %d exceeds MaxBatchGroup — test no longer hits the batched path", pat.Name, pat.CycleLen())
 		}
-		exact := RunAttackEngine(cfg, pOneScheme(), pat, 5, engine.Exact)
-		event := RunAttackEngine(cfg, pOneScheme(), pat.Clone(), 5, engine.Event)
+		exact := RunAttack(cfg, pOneScheme(), pat, 5, engine.Exact)
+		event := RunAttack(cfg, pOneScheme(), pat.Clone(), 5, engine.Event)
 		if !reflect.DeepEqual(exact, event) {
 			t.Errorf("%s: p=1 engines diverged:\nexact %+v\nevent %+v", pat.Name, exact, event)
-		}
-	}
-}
-
-// TestRunAttackEventStatisticallyCloseOnBatchedPatterns cross-validates the
-// batched multi-row path at the real insertion probability: independent draw
-// sequences, same process, so REF-cadence-driven mitigation counts must
-// agree tightly and disturbance must stay the same order of magnitude.
-func TestRunAttackEventStatisticallyCloseOnBatchedPatterns(t *testing.T) {
-	cfg := attackCfg(400_000)
-	for _, pat := range []*patterns.Pattern{
-		patterns.DoubleSided(2000),
-		patterns.TRRespass(1000, 40, 3),
-		blacksmithTight(),
-	} {
-		event := RunAttackEngine(cfg, PrIDEScheme(), pat, 1, engine.Event)
-		exact := RunAttack(cfg, PrIDEScheme(), pat.Clone(), 1)
-		if event.Mitigations == 0 || exact.Mitigations == 0 {
-			t.Fatalf("%s: no mitigations (event %d, exact %d)", pat.Name, event.Mitigations, exact.Mitigations)
-		}
-		ratio := float64(event.Mitigations) / float64(exact.Mitigations)
-		if ratio < 0.9 || ratio > 1.1 {
-			t.Errorf("%s: mitigations event %d vs exact %d (ratio %.3f)", pat.Name, event.Mitigations, exact.Mitigations, ratio)
-		}
-		if event.MaxDisturbance < cfg.Params.ACTsPerTREFI() || event.MaxDisturbance > 4*exact.MaxDisturbance {
-			t.Errorf("%s: max disturbance event %d vs exact %d", pat.Name, event.MaxDisturbance, exact.MaxDisturbance)
 		}
 	}
 }
@@ -120,14 +94,14 @@ func TestRunAttackEngineFallbacksAreBitIdentical(t *testing.T) {
 	// skip-ahead; the event engine must fall back to the exact loop with an
 	// identically-constructed trial.
 	dsac := Fig15Schemes()[1]
-	if got := RunAttackEngine(cfg, dsac, pat, 9, engine.Event); !reflect.DeepEqual(got, RunAttack(cfg, dsac, pat.Clone(), 9)) {
+	if got := RunAttack(cfg, dsac, pat, 9, engine.Event); !reflect.DeepEqual(got, RunAttack(cfg, dsac, pat.Clone(), 9, engine.Exact)) {
 		t.Errorf("DSAC event trial differs from exact fallback")
 	}
 	// OpenPage couples activations to row-buffer state, so slots are not
 	// iid Bernoulli: the event engine must fall back even for PrIDE.
 	open := cfg
 	open.Policy = OpenPage
-	if got := RunAttackEngine(open, PrIDEScheme(), pat, 9, engine.Event); !reflect.DeepEqual(got, RunAttack(open, PrIDEScheme(), pat.Clone(), 9)) {
+	if got := RunAttack(open, PrIDEScheme(), pat, 9, engine.Event); !reflect.DeepEqual(got, RunAttack(open, PrIDEScheme(), pat.Clone(), 9, engine.Exact)) {
 		t.Errorf("OpenPage event trial differs from exact fallback")
 	}
 }
@@ -143,8 +117,8 @@ func TestMINTEventBitIdenticalToExact(t *testing.T) {
 		patterns.TRRespass(1000, 40, 3),
 		blacksmithBreaker(),
 	} {
-		exact := RunAttackEngine(cfg, MINTScheme(), pat, 5, engine.Exact)
-		event := RunAttackEngine(cfg, MINTScheme(), pat.Clone(), 5, engine.Event)
+		exact := RunAttack(cfg, MINTScheme(), pat, 5, engine.Exact)
+		event := RunAttack(cfg, MINTScheme(), pat.Clone(), 5, engine.Event)
 		if !reflect.DeepEqual(exact, event) {
 			t.Errorf("%s: MINT engines diverged:\nexact %+v\nevent %+v", pat.Name, exact, event)
 		}
@@ -163,8 +137,8 @@ func TestMOATEventFallsBackToExact(t *testing.T) {
 		patterns.SingleSided(2000),
 		patterns.TRRespass(1000, 40, 3),
 	} {
-		exact := RunAttack(cfg, MOATScheme(), pat, 7)
-		event := RunAttackEngine(cfg, MOATScheme(), pat.Clone(), 7, engine.Event)
+		exact := RunAttack(cfg, MOATScheme(), pat, 7, engine.Exact)
+		event := RunAttack(cfg, MOATScheme(), pat.Clone(), 7, engine.Event)
 		if !reflect.DeepEqual(exact, event) {
 			t.Errorf("%s: MOAT event trial differs from exact fallback:\nexact %+v\nevent %+v",
 				pat.Name, exact, event)
@@ -181,7 +155,7 @@ func TestMOATDisturbanceCappedAtATO(t *testing.T) {
 		patterns.DoubleSided(2500),
 		patterns.TRRespass(1000, 40, 3),
 	} {
-		res := RunAttackEngine(cfg, MOATScheme(), pat, 3, engine.Event)
+		res := RunAttack(cfg, MOATScheme(), pat, 3, engine.Event)
 		if res.MaxDisturbance > tracker.DefaultMOATATO {
 			t.Errorf("%s: MOAT max disturbance %d exceeds the deterministic ATO cap %d",
 				pat.Name, res.MaxDisturbance, tracker.DefaultMOATATO)
@@ -198,15 +172,15 @@ func TestRunAttackEventReproducibleAndSecure(t *testing.T) {
 	// disturbance below the analytic TRH*.
 	cfg := attackCfg(400_000)
 	pat := patterns.SingleSided(2000)
-	a := RunAttackEngine(cfg, PrIDEScheme(), pat, 1, engine.Event)
-	b := RunAttackEngine(cfg, PrIDEScheme(), pat.Clone(), 1, engine.Event)
+	a := RunAttack(cfg, PrIDEScheme(), pat, 1, engine.Event)
+	b := RunAttack(cfg, PrIDEScheme(), pat.Clone(), 1, engine.Event)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("event engine not reproducible: %+v vs %+v", a, b)
 	}
 	if a.Mitigations == 0 {
 		t.Fatal("event engine dispatched no mitigations")
 	}
-	exact := RunAttack(cfg, PrIDEScheme(), pat.Clone(), 1)
+	exact := RunAttack(cfg, PrIDEScheme(), pat.Clone(), 1, engine.Exact)
 	// Mitigation opportunities are REF-cadence-driven and only skipped when
 	// the FIFO is idle, so the two engines' dispatch counts are tightly
 	// coupled even though individual draws differ.
@@ -224,8 +198,8 @@ func TestMeasurePatternLossEngineBitIdenticalAtWOne(t *testing.T) {
 	// ACT: the degenerate configuration where the engines share draw
 	// sequences and must agree exactly.
 	pat := patterns.TRRespass(100, 8, 3)
-	exact := MeasurePatternLossEngine(4, 1, pat, 20_000, 3, engine.Exact)
-	event := MeasurePatternLossEngine(4, 1, pat.Clone(), 20_000, 3, engine.Event)
+	exact := MeasurePatternLoss(4, 1, pat, 20_000, 3, engine.Exact)
+	event := MeasurePatternLoss(4, 1, pat.Clone(), 20_000, 3, engine.Event)
 	if !reflect.DeepEqual(exact, event) {
 		t.Fatalf("w=1 engines diverged:\nexact %+v\nevent %+v", exact, event)
 	}
@@ -236,8 +210,8 @@ func TestMeasurePatternLossEventStatisticallyClose(t *testing.T) {
 	// probability must agree within a two-estimator binomial tolerance.
 	pat := patterns.TRRespass(1000, 40, 3)
 	const acts = 2_500_000 // ~790 insertions per aggressor row
-	exact := MeasurePatternLoss(4, 79, pat, acts, 11)
-	event := MeasurePatternLossEngine(4, 79, pat.Clone(), acts, 12, engine.Event)
+	exact := MeasurePatternLoss(4, 79, pat, acts, 11, engine.Exact)
+	event := MeasurePatternLoss(4, 79, pat.Clone(), acts, 12, engine.Event)
 	if len(event.Rows) == 0 {
 		t.Fatal("event measurement saw no rows")
 	}

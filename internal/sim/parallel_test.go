@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pride/internal/engine"
 	"pride/internal/patterns"
 	"pride/internal/rng"
 )
@@ -79,7 +80,7 @@ func TestMaxDisturbanceOverSuiteParallelMatchesSerialShape(t *testing.T) {
 	seeds := rng.New(13)
 	for _, pat := range suite {
 		for i := 0; i < 2; i++ {
-			serial = mergeWorst(serial, RunAttack(cfg, PrIDEScheme(), pat, seeds.Uint64()))
+			serial = mergeWorst(serial, RunAttack(cfg, PrIDEScheme(), pat, seeds.Uint64(), engine.Exact))
 		}
 	}
 	par := suiteCampaign(t, cfg, PrIDEScheme(), suite, 2, 13, 4)

@@ -12,6 +12,7 @@ import (
 	"pride/internal/baseline"
 	"pride/internal/core"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/memctrl"
 	"pride/internal/patterns"
 	"pride/internal/rng"
@@ -29,6 +30,22 @@ type Scheme struct {
 	MitigationEveryNREF int
 	// New constructs a fresh tracker for one trial.
 	New func(p dram.Params, r *rng.Stream) tracker.Tracker
+}
+
+// Controller builds the scheme's tracker on stream r and wires it to bank
+// under the scheme's RFM threshold and mitigation cadence, with the
+// controller's, bank's and tracker's invariant guards armed when selfCheck
+// is set. It is the one place a scheme becomes a controller: the attack,
+// TTF and replay front ends all build theirs here (replay sets a copy's
+// RFMThreshold to the channel's budget first).
+func (s Scheme) Controller(p dram.Params, bank *dram.Bank, r *rng.Stream, selfCheck bool) *memctrl.Controller {
+	cfg := memctrl.DefaultConfig(p)
+	cfg.RFMThreshold = s.RFMThreshold
+	if s.MitigationEveryNREF > 0 {
+		cfg.MitigationEveryNREF = s.MitigationEveryNREF
+	}
+	cfg.SelfCheck = selfCheck
+	return memctrl.New(cfg, bank, s.New(p, r))
 }
 
 // PrIDEScheme returns the paper's default PrIDE configuration as a Scheme.
@@ -280,51 +297,28 @@ func (sc *attackScratch) clone(suite []*patterns.Pattern, i int) *patterns.Patte
 }
 
 // RunAttack replays one pattern against one scheme for cfg.ACTs activations
-// and returns the measured metrics.
-func RunAttack(cfg AttackConfig, s Scheme, pat *patterns.Pattern, seed uint64) AttackResult {
-	return runAttack(cfg, s, pat, seed, nil)
+// on engine eng and returns the measured metrics. The tracker and the event
+// engine's gap draws share one stream seeded with seed; see Drive for how
+// each engine retires the activations.
+func RunAttack(cfg AttackConfig, s Scheme, pat *patterns.Pattern, seed uint64, eng engine.Kind) AttackResult {
+	return runAttack(cfg, s, pat, seed, nil, eng)
 }
 
 // runAttack is RunAttack against a caller-supplied, freshly-reset bank
 // matching cfg (nil allocates one), so campaign workers can reuse a bank
 // across trials.
-func runAttack(cfg AttackConfig, s Scheme, pat *patterns.Pattern, seed uint64, bank *dram.Bank) AttackResult {
+func runAttack(cfg AttackConfig, s Scheme, pat *patterns.Pattern, seed uint64, bank *dram.Bank, eng engine.Kind) AttackResult {
 	if cfg.ACTs <= 0 {
 		panic(fmt.Sprintf("sim: ACTs must be positive, got %d", cfg.ACTs))
 	}
 	if bank == nil {
 		bank = dram.MustNewBank(cfg.Params, cfg.TRH)
 	}
-	trk := s.New(cfg.Params, rng.New(seed))
-	mcfg := memctrl.DefaultConfig(cfg.Params)
-	mcfg.RFMThreshold = s.RFMThreshold
-	if s.MitigationEveryNREF > 0 {
-		mcfg.MitigationEveryNREF = s.MitigationEveryNREF
-	}
-	mcfg.SelfCheck = cfg.SelfCheck
-	ctrl := memctrl.New(mcfg, bank, trk)
-	steppedReplay(ctrl, pat, cfg)
-	return attackResult(s, pat, bank, ctrl)
-}
-
-// steppedReplay is the exact per-ACT attack loop: one pattern step, one
-// controller activation (modulo open-row hits) per slot.
-func steppedReplay(ctrl *memctrl.Controller, pat *patterns.Pattern, cfg AttackConfig) {
+	r := rng.New(seed)
+	ctrl := s.Controller(cfg.Params, bank, r, cfg.SelfCheck)
 	pat.Reset()
-	openRow := -1
-	for i := 0; i < cfg.ACTs; i++ {
-		row := pat.Next()
-		if cfg.Policy == OpenPage {
-			// Same-row accesses hit the open row buffer: no activation,
-			// no hammering, no tracker event. The slot is still consumed
-			// (the access occupies the command bus).
-			if row == openRow {
-				continue
-			}
-			openRow = row
-		}
-		ctrl.Activate(row)
-	}
+	Drive(ctrl, pat, r, cfg.ACTs, eng, cfg.Policy, nil)
+	return attackResult(s, pat, bank, ctrl)
 }
 
 // attackResult collects one trial's metrics from the bank and controller.

@@ -7,6 +7,7 @@ import (
 	"pride/internal/analytic"
 	"pride/internal/core"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/patterns"
 	"pride/internal/rng"
 	"pride/internal/tracker"
@@ -27,7 +28,7 @@ func TestPrIDEBoundsDisturbanceUnderSingleSided(t *testing.T) {
 	// A single-sided attack for several tREFW-scale windows: PrIDE's max
 	// disturbance must stay below its analytic TRH* (3.83K); the paper
 	// measures ~1.3K across its full suite.
-	res := RunAttack(attackCfg(400_000), PrIDEScheme(), patterns.SingleSided(2000), 1)
+	res := RunAttack(attackCfg(400_000), PrIDEScheme(), patterns.SingleSided(2000), 1, engine.Exact)
 	trh := analytic.EvaluateScheme(analytic.SchemePrIDE, simParams(), analytic.DefaultTargetTTFYears)
 	if float64(res.MaxDisturbance) > trh.TRHStar {
 		t.Fatalf("PrIDE max disturbance %d exceeds analytic TRH* %.0f", res.MaxDisturbance, trh.TRHStar)
@@ -38,7 +39,7 @@ func TestPrIDEBoundsDisturbanceUnderSingleSided(t *testing.T) {
 }
 
 func TestPrIDEBoundsDisturbanceUnderTRRespass(t *testing.T) {
-	res := RunAttack(attackCfg(400_000), PrIDEScheme(), patterns.TRRespass(1000, 40, 3), 2)
+	res := RunAttack(attackCfg(400_000), PrIDEScheme(), patterns.TRRespass(1000, 40, 3), 2, engine.Exact)
 	trh := analytic.EvaluateScheme(analytic.SchemePrIDE, simParams(), analytic.DefaultTargetTTFYears)
 	if float64(res.MaxDisturbance) > trh.TRHStar {
 		t.Fatalf("PrIDE under TRRespass: disturbance %d exceeds TRH* %.0f", res.MaxDisturbance, trh.TRHStar)
@@ -68,9 +69,9 @@ func TestCraftedPatternsBreakPRoHITButNotPrIDE(t *testing.T) {
 		blacksmithBreaker(),
 		patterns.CounterStarver(1000, 30, 10, 40, 1),
 	} {
-		short := RunAttack(attackCfg(300_000), fig15ByName(t, "PRoHIT"), pat, 3)
-		long := RunAttack(attackCfg(600_000), fig15ByName(t, "PRoHIT"), pat, 3)
-		pride := RunAttack(attackCfg(600_000), PrIDEScheme(), pat, 3)
+		short := RunAttack(attackCfg(300_000), fig15ByName(t, "PRoHIT"), pat, 3, engine.Exact)
+		long := RunAttack(attackCfg(600_000), fig15ByName(t, "PRoHIT"), pat, 3, engine.Exact)
+		pride := RunAttack(attackCfg(600_000), PrIDEScheme(), pat, 3, engine.Exact)
 		if long.MaxDisturbance <= 2*pride.MaxDisturbance {
 			t.Errorf("%s: PRoHIT disturbance %d not clearly worse than PrIDE %d",
 				pat.Name, long.MaxDisturbance, pride.MaxDisturbance)
@@ -103,7 +104,7 @@ func TestPrIDEDisturbanceIsPatternIndependent(t *testing.T) {
 	spread := func(s Scheme) (lo, hi int) {
 		lo = 1 << 30
 		for i, pat := range pats {
-			res := RunAttack(attackCfg(400_000), s, pat, 100+uint64(i))
+			res := RunAttack(attackCfg(400_000), s, pat, 100+uint64(i), engine.Exact)
 			if res.MaxDisturbance < lo {
 				lo = res.MaxDisturbance
 			}
@@ -188,7 +189,7 @@ func TestHalfDoubleDefeatedByMitigationLevels(t *testing.T) {
 	pat := patterns.HalfDouble(2000, 16)
 	cfg := AttackConfig{Params: simParams(), ACTs: 600_000}
 
-	with := RunAttack(cfg, PrIDEScheme(), pat, 21)
+	with := RunAttack(cfg, PrIDEScheme(), pat, 21, engine.Exact)
 
 	noProt := PrIDEScheme()
 	noProt.Name = "PrIDE-noTransitive"
@@ -198,7 +199,7 @@ func TestHalfDoubleDefeatedByMitigationLevels(t *testing.T) {
 		c.TransitiveProtection = false
 		return core.New(c, r)
 	}
-	without := RunAttack(cfg, noProt, pat, 21)
+	without := RunAttack(cfg, noProt, pat, 21, engine.Exact)
 
 	if with.MaxHammers >= without.MaxHammers {
 		t.Fatalf("transitive protection did not reduce peak hammers: with=%d without=%d",
@@ -212,7 +213,7 @@ func TestVictimSharingIneffectiveAgainstPrIDE(t *testing.T) {
 	// the victim's peak hammer count under BR=1 sharing to 2x the
 	// single-sided disturbance bound.
 	pat := patterns.VictimSharing(2000, 1)
-	res := RunAttack(attackCfg(400_000), PrIDEScheme(), pat, 31)
+	res := RunAttack(attackCfg(400_000), PrIDEScheme(), pat, 31, engine.Exact)
 	trh := analytic.EvaluateScheme(analytic.SchemePrIDE, simParams(), analytic.DefaultTargetTTFYears)
 	if float64(res.MaxHammers) > trh.TRHStar {
 		t.Fatalf("victim-sharing peak hammers %d exceed TRH* %.0f", res.MaxHammers, trh.TRHStar)
@@ -223,7 +224,7 @@ func TestFlipDetectionAtLowTRH(t *testing.T) {
 	// With an absurdly low device TRH, even PrIDE cannot prevent flips —
 	// the failure-detection plumbing must report them.
 	cfg := AttackConfig{Params: simParams(), ACTs: 100_000, TRH: 64}
-	res := RunAttack(cfg, PrIDEScheme(), patterns.DoubleSided(2000), 41)
+	res := RunAttack(cfg, PrIDEScheme(), patterns.DoubleSided(2000), 41, engine.Exact)
 	if res.Flips == 0 {
 		t.Fatal("no flips detected at TRH=64")
 	}
@@ -231,8 +232,8 @@ func TestFlipDetectionAtLowTRH(t *testing.T) {
 
 func TestRunAttackDeterministic(t *testing.T) {
 	pat := patterns.TRRespass(500, 8, 3)
-	a := RunAttack(attackCfg(50_000), PrIDEScheme(), pat, 99)
-	b := RunAttack(attackCfg(50_000), PrIDEScheme(), pat, 99)
+	a := RunAttack(attackCfg(50_000), PrIDEScheme(), pat, 99, engine.Exact)
+	b := RunAttack(attackCfg(50_000), PrIDEScheme(), pat, 99, engine.Exact)
 	if a != b {
 		t.Fatalf("identical runs differ: %+v vs %+v", a, b)
 	}
@@ -244,7 +245,7 @@ func TestRunAttackPanicsOnBadACTs(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RunAttack(AttackConfig{Params: simParams()}, PrIDEScheme(), patterns.SingleSided(1), 1)
+	RunAttack(AttackConfig{Params: simParams()}, PrIDEScheme(), patterns.SingleSided(1), 1, engine.Exact)
 }
 
 func TestMeasurePatternLossBelowModel(t *testing.T) {
@@ -254,7 +255,7 @@ func TestMeasurePatternLossBelowModel(t *testing.T) {
 		model := analytic.LossProbability(n, 79, 1.0/79)
 		suite := patterns.Fig18Suite(4096, 100, 17) // 9 traces
 		for _, pat := range suite {
-			m := MeasurePatternLoss(n, 79, pat, 400_000, 55)
+			m := MeasurePatternLoss(n, 79, pat, 400_000, 55, engine.Exact)
 			worst := m.WorstRow()
 			resolved := worst.Evicted + worst.Mitigated
 			if resolved < 50 {
@@ -271,7 +272,7 @@ func TestMeasurePatternLossBelowModel(t *testing.T) {
 
 func TestMeasurePatternLossAccounting(t *testing.T) {
 	pat := patterns.SingleSided(123)
-	m := MeasurePatternLoss(4, 79, pat, 200_000, 5)
+	m := MeasurePatternLoss(4, 79, pat, 200_000, 5, engine.Exact)
 	if len(m.Rows) != 1 {
 		t.Fatalf("rows measured = %d, want 1", len(m.Rows))
 	}
@@ -301,15 +302,15 @@ func TestOpenPagePolicyBlocksSingleSided(t *testing.T) {
 	// stream produces exactly one ACT.
 	cfg := attackCfg(10_000)
 	cfg.Policy = OpenPage
-	res := RunAttack(cfg, PrIDEScheme(), patterns.SingleSided(2000), 1)
+	res := RunAttack(cfg, PrIDEScheme(), patterns.SingleSided(2000), 1, engine.Exact)
 	if res.MaxDisturbance != 1 {
 		t.Fatalf("open-page single-sided disturbance = %d, want 1", res.MaxDisturbance)
 	}
 	// A double-sided pattern alternates rows, so every access activates:
 	// open-page does not help.
-	res2 := RunAttack(cfg, PrIDEScheme(), patterns.DoubleSided(2000), 1)
+	res2 := RunAttack(cfg, PrIDEScheme(), patterns.DoubleSided(2000), 1, engine.Exact)
 	closed := attackCfg(10_000)
-	res3 := RunAttack(closed, PrIDEScheme(), patterns.DoubleSided(2000), 1)
+	res3 := RunAttack(closed, PrIDEScheme(), patterns.DoubleSided(2000), 1, engine.Exact)
 	if res2.MaxDisturbance < res3.MaxDisturbance/2 {
 		t.Fatalf("open-page should not blunt a double-sided attack: %d vs %d",
 			res2.MaxDisturbance, res3.MaxDisturbance)
@@ -328,9 +329,9 @@ func TestOpenPageHalvesPerRowRate(t *testing.T) {
 	}
 	cfg := attackCfg(60_000)
 	cfg.Policy = OpenPage
-	res := RunAttack(cfg, PrIDEScheme(), burst, 2)
+	res := RunAttack(cfg, PrIDEScheme(), burst, 2, engine.Exact)
 	closed := attackCfg(60_000)
-	resClosed := RunAttack(closed, PrIDEScheme(), burst, 2)
+	resClosed := RunAttack(closed, PrIDEScheme(), burst, 2, engine.Exact)
 	// The per-aggressor ACT rate drops to 1/3 (one ACT per 3-access
 	// burst); the peak hammer count drops with it, though not linearly
 	// (it also depends on when mitigations land).
@@ -348,7 +349,7 @@ func TestBlastRadiusTwoVictimSharing(t *testing.T) {
 	p := simParams()
 	p.BlastRadius = 2
 	pat := patterns.VictimSharing(2000, 2)
-	res := RunAttack(AttackConfig{Params: p, ACTs: 300_000}, PrIDEScheme(), pat, 61)
+	res := RunAttack(AttackConfig{Params: p, ACTs: 300_000}, PrIDEScheme(), pat, 61, engine.Exact)
 	trh := analytic.EvaluateScheme(analytic.SchemePrIDE, p, analytic.DefaultTargetTTFYears)
 	if float64(res.MaxHammers) > trh.TRHStar {
 		t.Fatalf("BR=2 victim peak hammers %d exceed TRH* %.0f", res.MaxHammers, trh.TRHStar)

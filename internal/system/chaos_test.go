@@ -48,8 +48,8 @@ func TestSystemSelfCheckInvariance(t *testing.T) {
 	checked := cfg
 	checked.SelfCheck = true
 	for _, eng := range []engine.Kind{engine.Exact, engine.Event} {
-		want := RunEngine(cfg, sim.PrIDEScheme(), 9, eng)
-		got := RunEngine(checked, sim.PrIDEScheme(), 9, eng)
+		want := Run(cfg, sim.PrIDEScheme(), 9, eng)
+		got := Run(checked, sim.PrIDEScheme(), 9, eng)
 		if got != want {
 			t.Fatalf("engine %v: SelfCheck changed the system result:\n got %+v\nwant %+v", eng, got, want)
 		}

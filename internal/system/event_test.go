@@ -12,6 +12,7 @@ import (
 	"pride/internal/rng"
 	"pride/internal/sim"
 	"pride/internal/tracker"
+	"pride/internal/tracker/trackertest"
 )
 
 // pOneScheme is PrIDE with insertion probability 1, the configuration where
@@ -33,8 +34,8 @@ func pOneScheme() sim.Scheme {
 func TestRunEngineBitIdenticalAtPOne(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 3, TRH: 400, MaxTREFI: 3000}
 	for seed := uint64(1); seed <= 3; seed++ {
-		exact := RunEngine(cfg, pOneScheme(), seed, engine.Exact)
-		event := RunEngine(cfg, pOneScheme(), seed, engine.Event)
+		exact := Run(cfg, pOneScheme(), seed, engine.Exact)
+		event := Run(cfg, pOneScheme(), seed, engine.Event)
 		if !reflect.DeepEqual(exact, event) {
 			t.Errorf("seed %d: p=1 engines diverged:\nexact %+v\nevent %+v", seed, exact, event)
 		}
@@ -53,16 +54,40 @@ func TestRunEngineFallsBackWithoutSkipAhead(t *testing.T) {
 		},
 	}
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 80, MaxTREFI: 3000}
-	exact := Run(cfg, prohit, 7)
-	event := RunEngine(cfg, prohit, 7, engine.Event)
+	exact := Run(cfg, prohit, 7, engine.Exact)
+	event := Run(cfg, prohit, 7, engine.Event)
 	if !reflect.DeepEqual(exact, event) {
 		t.Fatalf("fallback diverged:\nexact %+v\nevent %+v", exact, event)
 	}
 }
 
+// TestRunEngineMINTEventBitIdenticalToExact: MINT's schedule draws happen
+// inside OnMitigate on both engines, so the event engine's per-bank
+// scheduled pass must reproduce the exact lockstep sweep bit for bit, at a
+// threshold MINT fails (the first failure's tREFI and bank) and at one it
+// survives to the horizon.
+func TestRunEngineMINTEventBitIdenticalToExact(t *testing.T) {
+	for _, c := range []struct {
+		trh    int
+		failed bool
+	}{{1000, true}, {100_000, false}} {
+		cfg := Config{Params: sysParams(), Banks: 3, TRH: c.trh, MaxTREFI: 4000}
+		for seed := uint64(1); seed <= 3; seed++ {
+			exact := Run(cfg, sim.MINTScheme(), seed, engine.Exact)
+			event := Run(cfg, sim.MINTScheme(), seed, engine.Event)
+			if !reflect.DeepEqual(exact, event) {
+				t.Errorf("TRH %d seed %d: MINT engines diverged:\nexact %+v\nevent %+v", c.trh, seed, exact, event)
+			}
+			if exact.Failed != c.failed {
+				t.Fatalf("TRH %d seed %d: Failed = %v, want %v", c.trh, seed, exact.Failed, c.failed)
+			}
+		}
+	}
+}
+
 // TestMeasureMTTFEngineAgreesWithCampaign pins the campaign's engine
 // plumbing: for EITHER engine a multi-worker campaign is bit-identical to
-// the serial reference sampler that runs each trial through RunEngine under
+// the serial reference sampler that runs each trial through Run under
 // the same index-derived seed.
 func TestMeasureMTTFEngineAgreesWithCampaign(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 30_000}
@@ -92,7 +117,7 @@ func TestMeasureMTTFEngineAgreesWithCampaign(t *testing.T) {
 // twins and the p=1 engine identity above.
 func TestRunEventMultiTREFIAdvance(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 1, TRH: 100_000, MaxTREFI: 100_000}
-	res := RunEngine(cfg, sim.PrIDEScheme(), 5, engine.Event)
+	res := Run(cfg, sim.PrIDEScheme(), 5, engine.Event)
 	if res.Failed {
 		t.Fatalf("unexpected failure at TRH=100000: %+v", res)
 	}
@@ -121,15 +146,23 @@ func TestMTTFCampaignEventEngine(t *testing.T) {
 		t.Fatalf("workers=4: (%.17g, %d) != workers=1 (%.17g, %d)", mean, failed, wantMean, wantFailed)
 	}
 
-	// Same failure process on the exact engine: both samplers must see most
-	// trials fail and means of the same order of magnitude.
-	exactMean, exactFailed := mttfCampaign(t, cfg, sim.PrIDEScheme(), trials, seed, 4)
-	if exactFailed < 6 || wantFailed < 6 {
-		t.Fatalf("too few failures to compare: exact %d, event %d", exactFailed, wantFailed)
+	// Same failure process on the exact engine: every trial fails on both,
+	// and the mean time to fail agrees over fixed, disjoint trial seeds. At
+	// TRH=400 a trial fails after tens to hundreds of tREFIs, not the two to
+	// four of TRH=150, so the comparison sees the distribution's spread.
+	cmp := cfg
+	cmp.TRH = 400
+	var ttf [2][]float64
+	for i, eng := range []engine.Kind{engine.Exact, engine.Event} {
+		for k := 0; k < 2*trackertest.MinSamples; k++ {
+			res := Run(cmp, sim.PrIDEScheme(), rng.DeriveSeed(seed+uint64(i), uint64(k)), eng)
+			if !res.Failed {
+				t.Fatalf("%v trial %d survived the horizon at TRH=%d", eng, k, cmp.TRH)
+			}
+			ttf[i] = append(ttf[i], res.TimeToFail.Seconds())
+		}
 	}
-	if ratio := wantMean / exactMean; ratio < 1.0/3 || ratio > 3 {
-		t.Errorf("MTTF means: event %.3g vs exact %.3g (ratio %.2f)", wantMean, exactMean, ratio)
-	}
+	trackertest.SameMean(t, "TimeToFail", ttf[0], ttf[1])
 
 	if MTTFCampaignKey(cfg, sim.PrIDEScheme(), trials, seed, engine.Exact) ==
 		MTTFCampaignKey(cfg, sim.PrIDEScheme(), trials, seed, engine.Event) {

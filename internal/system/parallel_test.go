@@ -22,12 +22,12 @@ func mttfCampaign(tb testing.TB, cfg Config, s sim.Scheme, trials int, seed uint
 }
 
 // serialMTTF is the reference sampler the campaign is held to: trial t
-// runs RunEngine under rng.DeriveSeed(seed, t), one trial after another on
+// runs Run under rng.DeriveSeed(seed, t), one trial after another on
 // the calling goroutine, and the mean is taken over the failing trials.
 func serialMTTF(cfg Config, s sim.Scheme, trials int, seed uint64, eng engine.Kind) (meanSeconds float64, failed int) {
 	total := 0.0
 	for t := 0; t < trials; t++ {
-		if res := RunEngine(cfg, s, rng.DeriveSeed(seed, uint64(t)), eng); res.Failed {
+		if res := Run(cfg, s, rng.DeriveSeed(seed, uint64(t)), eng); res.Failed {
 			failed++
 			total += res.TimeToFail.Seconds()
 		}

@@ -9,7 +9,6 @@ import (
 
 	"pride/internal/addrmap"
 	"pride/internal/dram"
-	"pride/internal/memctrl"
 	"pride/internal/rng"
 	"pride/internal/sim"
 	"pride/internal/trace"
@@ -17,8 +16,9 @@ import (
 
 // perACTReplay is the reference every replay must equal: it routes the
 // records itself and drives each shard through a fresh bank and a
-// controller built the way replayShard builds them, one Activate per row.
-// It shares no code with the replay path past the controller.
+// controller built from the scheme with the shard's channel budget, one
+// Activate per row. It shares no code with the replay path past
+// sim.Scheme.Controller.
 func perACTReplay(t *testing.T, cfg TopologyConfig, records []uint64) ReplayResult {
 	t.Helper()
 	top := mustTopology(t, cfg)
@@ -39,16 +39,14 @@ func perACTReplay(t *testing.T, cfg TopologyConfig, records []uint64) ReplayResu
 	for shard, queue := range rows {
 		channel, rank, bank := top.shardCoord(shard)
 		dbank := dram.MustNewBank(p, cfg.TRH)
-		mcfg := memctrl.DefaultConfig(p)
-		mcfg.RFMThreshold = cfg.Scheme.RFMThreshold
+		scheme := cfg.Scheme
 		switch len(cfg.RFMBudgets) {
 		case 1:
-			mcfg.RFMThreshold = cfg.RFMBudgets[0]
+			scheme.RFMThreshold = cfg.RFMBudgets[0]
 		case top.Channels():
-			mcfg.RFMThreshold = cfg.RFMBudgets[channel]
+			scheme.RFMThreshold = cfg.RFMBudgets[channel]
 		}
-		mcfg.MitigationEveryNREF = cfg.Scheme.MitigationEveryNREF
-		ctrl := memctrl.New(mcfg, dbank, cfg.Scheme.New(p, rng.Derived(cfg.Seed, uint64(shard))))
+		ctrl := scheme.Controller(p, dbank, rng.Derived(cfg.Seed, uint64(shard)), false)
 		var scr *addrmap.RowScrambler
 		if cfg.ScrambleSeed != 0 {
 			scr = addrmap.NewRowScrambler(p.RowsPerBank, rng.DeriveSeed(cfg.ScrambleSeed, uint64(shard)))

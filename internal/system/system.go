@@ -80,23 +80,13 @@ type Result struct {
 	TREFIsSimulated int
 }
 
-// gapUnset marks a bank whose next insertion gap has not been drawn yet.
-// The draw is deferred to the moment the exact engine would consume it, so
-// at p = 1 (where gaps are always zero) the two engines consume the shared
-// per-bank stream in the same order and stay bit-identical.
-const gapUnset = -1
-
-// bank bundles one bank's simulation state.
+// bankState is one bank's simulation state: its controller, its hammer
+// pattern and the private stream its tracker (and the event engine's gap
+// draws) consume.
 type bankState struct {
 	ctrl *memctrl.Controller
 	pat  *patterns.Pattern
-
-	// Event-engine state: the bank's private stream (shared with its
-	// tracker), its gap sampler, and the idle ACTs remaining before the next
-	// insertion — carried across tREFI boundaries.
-	r   *rng.Stream
-	sk  rng.Skip
-	gap int
+	r    *rng.Stream
 }
 
 // runScratch is the reusable per-worker state of a system trial: the DRAM
@@ -121,19 +111,11 @@ func (sc *runScratch) prepare(n int) {
 }
 
 // Run simulates every bank being double-sided-hammered continuously until
-// the first bit flip or the horizon. Each bank runs the scheme with an
-// independent RNG stream; time advances in lockstep, one tREFI at a time
-// (W activations per bank per tREFI — the saturated-bus worst case of the
-// paper's analysis).
-func Run(cfg Config, s sim.Scheme, seed uint64) Result {
-	return run(cfg, s, seed, &runScratch{}, engine.Exact)
-}
-
-// RunEngine is Run on the selected engine. The event engine carries each
-// bank's geometric insertion gap across tREFI boundaries and retires the
-// idle stretches through memctrl.ActivateRun; it falls back to the exact
-// loop when the scheme's tracker does not support skip-ahead.
-func RunEngine(cfg Config, s sim.Scheme, seed uint64, eng engine.Kind) Result {
+// the first bit flip or the horizon, on engine eng. Each bank runs the
+// scheme with an independent RNG stream; the result is the first failure in
+// time (W activations per bank per tREFI — the saturated-bus worst case of
+// the paper's analysis), ties going to the lower bank index.
+func Run(cfg Config, s sim.Scheme, seed uint64, eng engine.Kind) Result {
 	return run(cfg, s, seed, &runScratch{}, eng)
 }
 
@@ -160,62 +142,45 @@ func run(cfg Config, s sim.Scheme, seed uint64, sc *runScratch, eng engine.Kind)
 		} else {
 			sc.pats[i].Reset()
 		}
-		// Each bank's tracker and its gap sampler share one forked stream,
-		// mirroring the exact engine's per-bank stream usage.
+		// Each bank's tracker and the event engine's gap draws share one
+		// forked stream.
 		br := seeds.Fork()
-		trk := s.New(cfg.Params, br)
-		mcfg := memctrl.DefaultConfig(cfg.Params)
-		mcfg.RFMThreshold = s.RFMThreshold
-		if s.MitigationEveryNREF > 0 {
-			mcfg.MitigationEveryNREF = s.MitigationEveryNREF
-		}
-		mcfg.SelfCheck = cfg.SelfCheck
 		banks[i] = bankState{
-			ctrl: memctrl.New(mcfg, sc.drams[i], trk),
+			ctrl: s.Controller(cfg.Params, sc.drams[i], br, cfg.SelfCheck),
 			pat:  sc.pats[i],
 			r:    br,
-			gap:  gapUnset,
-		}
-	}
-
-	// All banks run the same scheme, so skip-ahead support is uniform:
-	// probe bank 0 before any gap draw perturbs a stream.
-	if eng == engine.Event {
-		if _, ok := banks[0].ctrl.SkipAdvancer(); !ok {
-			eng = engine.Exact
-		} else {
-			for i := range banks {
-				sa, _ := banks[i].ctrl.SkipAdvancer()
-				banks[i].sk = rng.NewSkip(rng.NewThreshold(sa.InsertionProb()))
-			}
 		}
 	}
 
 	w := cfg.Params.ACTsPerTREFI()
-	if eng == engine.Event {
+	// All banks run the same scheme, so bank 0 tells how Drive runs them.
+	if sim.DrivesByEvents(banks[0].ctrl, eng, sim.ClosedPage) {
 		// Banks never interact and each owns a private stream, so the
 		// interleaved per-tREFI sweep is equivalent to running each bank to
-		// completion on its own — and the per-bank pass is where the
-		// multi-tREFI bulk advance lives: a long insertion gap is no longer
-		// chopped into w-ACT windows but retired in one ActivateRunGroup
-		// call, whose quiet-cadence collapse turns hundreds of refresh
-		// windows into modular arithmetic.
+		// completion on its own — and one Drive per bank lets a long
+		// insertion gap retire in one ActivateRunGroup call, whose
+		// quiet-cadence collapse turns hundreds of refresh windows into
+		// modular arithmetic.
 		//
-		// The lockstep loop returns the lexicographically first failure
+		// The lockstep sweep returns the lexicographically first failure
 		// (tREFI, then bank index). Banks run in index order against a
 		// shrinking horizon: a later bank only wins by failing STRICTLY
 		// earlier than the incumbent, so it needs at most incumbent-1
-		// windows of simulation.
+		// windows of simulation. Drive never exceeds its budget, so a flip
+		// lands within the horizon; its window is recovered from the
+		// flip's global ACT index (window t covers ACTs (t-1)*w+1 .. t*w,
+		// with boundary REF flips attributed to the window they close —
+		// the lockstep sweep's attribution).
 		best := Result{TREFIsSimulated: cfg.MaxTREFI}
 		horizon := cfg.MaxTREFI
-		for bi := range banks {
-			if horizon == 0 {
-				break
-			}
-			ft, failed := banks[bi].runEvent(w, horizon)
-			if !failed {
+		for bi := 0; bi < len(banks) && horizon > 0; bi++ {
+			b := &banks[bi]
+			bank := b.ctrl.Bank()
+			flipped := func() bool { return len(bank.Flips()) > 0 }
+			if !sim.Drive(b.ctrl, b.pat, b.r, horizon*w, eng, sim.ClosedPage, flipped) {
 				continue
 			}
+			ft := int((bank.Flips()[0].ACTIndex + uint64(w) - 1) / uint64(w))
 			best = Result{
 				Failed:          true,
 				TimeToFail:      time.Duration(ft) * cfg.Params.TREFI,
@@ -226,12 +191,12 @@ func run(cfg Config, s sim.Scheme, seed uint64, sc *runScratch, eng engine.Kind)
 		}
 		return best
 	}
+	// Lockstep: one tREFI of every bank at a time, so the sweep stops at
+	// the first failing tREFI.
 	for trefi := 1; trefi <= cfg.MaxTREFI; trefi++ {
 		for bi := range banks {
 			b := &banks[bi]
-			for a := 0; a < w; a++ {
-				b.ctrl.Activate(b.pat.Next())
-			}
+			sim.Drive(b.ctrl, b.pat, b.r, w, eng, sim.ClosedPage, nil)
 			if len(b.ctrl.Bank().Flips()) > 0 {
 				return Result{
 					Failed:          true,
@@ -243,59 +208,4 @@ func run(cfg Config, s sim.Scheme, seed uint64, sc *runScratch, eng engine.Kind)
 		}
 	}
 	return Result{TREFIsSimulated: cfg.MaxTREFI}
-}
-
-// runEvent retires up to maxTREFI refresh intervals (maxTREFI*w demand ACTs)
-// of the bank's hammer pattern on the event engine and reports the refresh
-// interval of the bank's first bit flip, if any. Idle stretches are NOT
-// split at tREFI boundaries — memctrl does its own exact boundary
-// accounting — so a gap spanning many windows is one call. Chunks never
-// exceed the remaining budget, so a detected flip always lands within the
-// horizon; its window is recovered from the flip's global ACT index (window
-// t covers ACTs (t-1)*w+1 .. t*w, with boundary REF flips attributed to the
-// window they close — exactly the lockstep loop's attribution).
-func (b *bankState) runEvent(w, maxTREFI int) (failTREFI int, failed bool) {
-	left := maxTREFI * w
-	for left > 0 {
-		if b.gap == gapUnset {
-			b.gap = b.r.SkipT(b.sk)
-		}
-		if b.gap >= left {
-			b.idleACTs(left)
-			b.gap -= left
-			left = 0
-		} else {
-			b.idleACTs(b.gap)
-			left -= b.gap
-			b.ctrl.ActivateInsert(b.pat.Next())
-			left--
-			b.gap = gapUnset
-		}
-		if flips := b.ctrl.Bank().Flips(); len(flips) > 0 {
-			return int((flips[0].ACTIndex + uint64(w) - 1) / uint64(w)), true
-		}
-	}
-	return 0, false
-}
-
-// idleACTs retires n insertion-free activations of the bank's pattern. The
-// double-sided pattern's 2-cycle goes through the batched multi-row path;
-// exotic caller-supplied patterns with long cycles fall back to same-row
-// run batching.
-func (b *bankState) idleACTs(n int) {
-	if n <= 0 {
-		return
-	}
-	if b.pat.CycleLen() <= patterns.MaxBatchGroup {
-		rows, phase := b.pat.Group()
-		b.ctrl.ActivateRunGroup(rows, phase, n)
-		b.pat.Advance(n)
-		return
-	}
-	for n > 0 {
-		row, k := b.pat.Run(n)
-		b.ctrl.ActivateRun(row, k)
-		b.pat.Advance(k)
-		n -= k
-	}
 }

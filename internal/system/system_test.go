@@ -8,6 +8,7 @@ import (
 
 	"pride/internal/analytic"
 	"pride/internal/dram"
+	"pride/internal/engine"
 	"pride/internal/sim"
 )
 
@@ -20,7 +21,7 @@ func sysParams() dram.Params {
 
 func TestFailsQuicklyAtTinyThreshold(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 100, MaxTREFI: 5000}
-	res := Run(cfg, sim.PrIDEScheme(), 1)
+	res := Run(cfg, sim.PrIDEScheme(), 1, engine.Exact)
 	if !res.Failed {
 		t.Fatal("no failure at TRH=100 within 5000 tREFI; tracker is suspiciously perfect")
 	}
@@ -34,7 +35,7 @@ func TestSurvivesAtHighThreshold(t *testing.T) {
 	// PrIDE's analytic TTF is thousands of years; a 20K-tREFI horizon
 	// (~78ms) must see nothing.
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 4000, MaxTREFI: 20_000}
-	res := Run(cfg, sim.PrIDEScheme(), 2)
+	res := Run(cfg, sim.PrIDEScheme(), 2, engine.Exact)
 	if res.Failed {
 		t.Fatalf("failure at TRH=4000 after %v — analytic TTF is ~10^3 years", res.TimeToFail)
 	}
@@ -111,8 +112,8 @@ func TestRFMExtendsTTF(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := Config{Params: sysParams(), Banks: 2, TRH: 150, MaxTREFI: 20_000}
-	a := Run(cfg, sim.PrIDEScheme(), 42)
-	b := Run(cfg, sim.PrIDEScheme(), 42)
+	a := Run(cfg, sim.PrIDEScheme(), 42, engine.Exact)
+	b := Run(cfg, sim.PrIDEScheme(), 42, engine.Exact)
 	if a != b {
 		t.Fatalf("identical runs differ: %+v vs %+v", a, b)
 	}

@@ -13,7 +13,6 @@ import (
 	"pride/internal/campaign"
 	"pride/internal/dram"
 	"pride/internal/engine"
-	"pride/internal/memctrl"
 	"pride/internal/rng"
 	"pride/internal/sim"
 	"pride/internal/trace"
@@ -475,17 +474,11 @@ type shardScratch struct {
 // ActivateRows call. selfCheck arms the controller's invariant guards.
 func (t *Topology) replayShard(shard int, blocks [][]int32, sc *shardScratch, selfCheck bool) ShardResult {
 	channel, rank, bank := t.shardCoord(shard)
-	stream := rng.Derived(t.cfg.Seed, uint64(shard))
-	trk := t.cfg.Scheme.New(t.params, stream)
 	dbank := sc.bank
 	dbank.Reset()
-	mcfg := memctrl.DefaultConfig(t.params)
-	mcfg.RFMThreshold = t.rfmThreshold(channel)
-	if t.cfg.Scheme.MitigationEveryNREF > 0 {
-		mcfg.MitigationEveryNREF = t.cfg.Scheme.MitigationEveryNREF
-	}
-	mcfg.SelfCheck = selfCheck
-	ctrl := memctrl.New(mcfg, dbank, trk)
+	scheme := t.cfg.Scheme
+	scheme.RFMThreshold = t.rfmThreshold(channel)
+	ctrl := scheme.Controller(t.params, dbank, rng.Derived(t.cfg.Seed, uint64(shard)), selfCheck)
 
 	var scr *addrmap.RowScrambler
 	if t.cfg.ScrambleSeed != 0 {

@@ -75,7 +75,7 @@ func RunSearchConformance(t *testing.T, s SearchSpec) {
 	})
 
 	t.Run("BestReproducible", func(t *testing.T) {
-		replay := sim.RunAttackEngine(s.Config.Attack, s.Scheme, res.BestGenome.Build(),
+		replay := sim.RunAttack(s.Config.Attack, s.Scheme, res.BestGenome.Build(),
 			res.BestSeed, s.Engine)
 		if replay.MaxDisturbance != res.BestDisturbance {
 			t.Fatalf("replaying the best genome under its recorded seed gave %d, search reported %d",
