@@ -52,8 +52,7 @@ func run(out io.Writer, acts int) {
 	// and PrIDE.
 	schemes := []sim.Scheme{
 		{
-			Name:                "TRR",
-			MitigationEveryNREF: 1,
+			Name: "TRR",
 			New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 				return baseline.NewTRR(baseline.DefaultTRREntries, p.RowBits)
 			},

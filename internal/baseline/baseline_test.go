@@ -57,44 +57,6 @@ func TestPARAPanics(t *testing.T) {
 	}
 }
 
-func TestPARADRFMRateLimit(t *testing.T) {
-	d := NewPARADRFM(1, 2, 17, rng.New(3)) // p=1: always a pending row
-	issued := 0
-	for i := 0; i < 10; i++ {
-		d.OnActivate(i)
-		if _, ok := d.OnMitigate(); ok {
-			issued++
-		}
-	}
-	if issued != 5 {
-		t.Fatalf("DRFM issued %d of 10 opportunities, want 5 (1 per 2 tREFI)", issued)
-	}
-}
-
-func TestPARADRFMOverwrite(t *testing.T) {
-	// A newer selection overwrites an unissued one — the single-entry
-	// behaviour the analytic model of Section IV-G assumes.
-	d := NewPARADRFM(1, 1, 17, rng.New(4))
-	d.OnActivate(10)
-	d.OnActivate(20)
-	m, ok := d.OnMitigate()
-	if !ok || m.Row != 20 {
-		t.Fatalf("mitigation = %+v, want row 20 (overwrite)", m)
-	}
-	if _, ok := d.OnMitigate(); ok {
-		t.Fatal("second mitigation without a new selection")
-	}
-}
-
-func TestPARADRFMPlusName(t *testing.T) {
-	if got := NewPARADRFM(0.5, 1, 17, rng.New(1)).Name(); got != "PARA-DRFM+" {
-		t.Fatalf("interval-1 name = %q", got)
-	}
-	if got := NewPARADRFM(0.5, 2, 17, rng.New(1)).Name(); got != "PARA-DRFM" {
-		t.Fatalf("interval-2 name = %q", got)
-	}
-}
-
 func TestPARFMBuffersEpochAndClears(t *testing.T) {
 	p := NewPARFM(79, 17, rng.New(5))
 	for i := 0; i < 50; i++ {
@@ -313,7 +275,6 @@ func TestGrapheneVictimSharingWeakness(t *testing.T) {
 func TestStorageBitsSane(t *testing.T) {
 	trackers := []tracker.Tracker{
 		NewPARA(0.5, rng.New(1)),
-		NewPARADRFM(0.5, 2, 17, rng.New(1)),
 		NewPARFM(79, 17, rng.New(1)),
 		NewDSAC(20, 17, rng.New(1)),
 		NewPRoHIT(4, 17, 0.5, 0.5, rng.New(1)),
@@ -326,9 +287,18 @@ func TestStorageBitsSane(t *testing.T) {
 		}
 	}
 	// PARFM's buffer (79 x 17b) dwarfs PrIDE's 4 x 20b (Section V-C).
-	parfm := trackers[2].StorageBits()
-	if parfm < 79*17 {
-		t.Errorf("PARFM storage = %d bits, want >= %d", parfm, 79*17)
+	found := false
+	for _, tr := range trackers {
+		if tr.Name() != "PARFM" {
+			continue
+		}
+		found = true
+		if got := tr.StorageBits(); got < 79*17 {
+			t.Errorf("PARFM storage = %d bits, want >= %d", got, 79*17)
+		}
+	}
+	if !found {
+		t.Error("no tracker named PARFM in the list")
 	}
 }
 
@@ -336,7 +306,6 @@ func TestResetAll(t *testing.T) {
 	rs := rng.New(11)
 	trackers := []tracker.Tracker{
 		NewPARA(0.9, rs.Fork()),
-		NewPARADRFM(0.9, 2, 17, rs.Fork()),
 		NewPARFM(79, 17, rs.Fork()),
 		NewDSAC(20, 17, rs.Fork()),
 		NewPRoHIT(4, 17, 0.9, 0.9, rs.Fork()),
@@ -347,7 +316,7 @@ func TestResetAll(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			tr.OnActivate(i % 7)
 		}
-		if im, ok := tr.(ImmediateMitigator); ok {
+		if im, ok := tr.(tracker.ImmediateMitigator); ok {
 			im.DrainImmediate()
 		}
 		tr.Reset()
@@ -370,7 +339,6 @@ func TestConstructorPanics(t *testing.T) {
 		"PRoHIT probs":    func() { NewPRoHIT(4, 17, 0, 0.5, rng.New(1)) },
 		"TRR entries":     func() { NewTRR(0, 17) },
 		"Graphene thresh": func() { NewGraphene(4, 1, 17) },
-		"DRFM interval":   func() { NewPARADRFM(0.5, 0, 17, rng.New(1)) },
 	} {
 		func() {
 			defer func() {

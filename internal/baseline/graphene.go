@@ -27,17 +27,16 @@ type Graphene struct {
 	threshold int
 	rowBits   int
 
-	rows     []int
-	counts   []int
-	valid    []bool
-	spill    int
-	pending  []tracker.Mitigation
-	mitCount uint64
+	rows    []int
+	counts  []int
+	valid   []bool
+	spill   int
+	pending []tracker.Mitigation
 }
 
 var (
-	_ tracker.Tracker    = (*Graphene)(nil)
-	_ ImmediateMitigator = (*Graphene)(nil)
+	_ tracker.Tracker            = (*Graphene)(nil)
+	_ tracker.ImmediateMitigator = (*Graphene)(nil)
 )
 
 // NewGraphene returns a Graphene tracker that mitigates any row whose
@@ -101,14 +100,13 @@ func (g *Graphene) OnActivate(row int) {
 func (g *Graphene) checkThreshold(i int) {
 	if g.counts[i] >= g.threshold {
 		g.pending = append(g.pending, tracker.Mitigation{Row: g.rows[i], Level: 1})
-		g.mitCount++
 		// Rewind: the row restarts counting (Graphene resets to the
 		// spillover floor so the estimate stays an overcount of spill).
 		g.counts[i] = g.spill
 	}
 }
 
-// DrainImmediate implements ImmediateMitigator. The returned slice is
+// DrainImmediate implements tracker.ImmediateMitigator. The returned slice is
 // reused: it is valid only until the next OnActivate.
 func (g *Graphene) DrainImmediate() []tracker.Mitigation {
 	out := g.pending
@@ -136,12 +134,9 @@ func (g *Graphene) Occupancy() int {
 // StorageBits implements tracker.Tracker: row + counter wide enough to
 // represent 0..threshold + valid bit, plus the spillover counter.
 func (g *Graphene) StorageBits() int {
-	cb := counterBits(g.threshold)
+	cb := tracker.CounterBits(g.threshold)
 	return g.entries*(g.rowBits+cb+1) + cb
 }
-
-// Mitigations returns the total number of threshold crossings so far.
-func (g *Graphene) Mitigations() uint64 { return g.mitCount }
 
 // Reset implements tracker.Tracker.
 func (g *Graphene) Reset() {
@@ -151,5 +146,4 @@ func (g *Graphene) Reset() {
 	}
 	g.spill = 0
 	g.pending = nil
-	g.mitCount = 0
 }

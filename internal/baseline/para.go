@@ -1,7 +1,8 @@
 // Package baseline implements the Rowhammer trackers the paper compares
-// PrIDE against: the memory-controller-side PARA family (PARA-MC,
-// PARA-DRFM, PARFM) and the in-DRAM counter-based trackers (DSAC, PRoHIT,
-// a TRR-style deterministic sampler, and Graphene).
+// PrIDE against: PARA at the memory controller (PARA-MC), PARA co-designed
+// with RFM (PARFM), and the in-DRAM trackers DSAC, PRoHIT and a TRR-style
+// deterministic sampler. Graphene, the counter-based tracker, backs the
+// victim-sharing weakness of Section VI (Fig 13).
 //
 // Every implementation follows the published description of the scheme; the
 // counter-driven ones deliberately retain the access-pattern-dependent
@@ -15,19 +16,6 @@ import (
 	"pride/internal/rng"
 	"pride/internal/tracker"
 )
-
-// ImmediateMitigator is implemented by controller-side schemes that issue
-// mitigations immediately on an activation (PARA, Graphene) rather than
-// waiting for a refresh opportunity. The simulator drains these after every
-// activation.
-type ImmediateMitigator interface {
-	// DrainImmediate returns and clears mitigations to perform right now.
-	// The returned slice is borrowed: implementations reuse its backing
-	// array, so it is valid only until the next OnActivate on the same
-	// tracker. Callers that retain mitigations must copy them out (ranging
-	// over the slice and appending values, as the simulators do, is safe).
-	DrainImmediate() []tracker.Mitigation
-}
 
 // PARA is Kim et al.'s probabilistic mitigation at the memory controller:
 // on each activation, with probability p, the row's neighbours are refreshed
@@ -43,10 +31,10 @@ type PARA struct {
 }
 
 var (
-	_ tracker.Tracker       = (*PARA)(nil)
-	_ tracker.SkipAdvancer  = (*PARA)(nil)
-	_ tracker.IdleMitigator = (*PARA)(nil)
-	_ ImmediateMitigator    = (*PARA)(nil)
+	_ tracker.Tracker            = (*PARA)(nil)
+	_ tracker.SkipAdvancer       = (*PARA)(nil)
+	_ tracker.IdleMitigator      = (*PARA)(nil)
+	_ tracker.ImmediateMitigator = (*PARA)(nil)
 )
 
 // NewPARA returns a PARA instance with refresh probability p.
@@ -97,7 +85,7 @@ func (p *PARA) ActivateInsert(row int) {
 	p.pending = append(p.pending, tracker.Mitigation{Row: row, Level: 1})
 }
 
-// DrainImmediate implements ImmediateMitigator. The returned slice is
+// DrainImmediate implements tracker.ImmediateMitigator. The returned slice is
 // reused: it is valid only until the next OnActivate.
 func (p *PARA) DrainImmediate() []tracker.Mitigation {
 	out := p.pending
@@ -129,88 +117,6 @@ func (p *PARA) StorageBits() int { return 0 }
 func (p *PARA) Reset() {
 	p.pending = nil
 	p.acts = 0
-}
-
-// PARADRFM adapts PARA to DDR5's Directed Refresh Management command
-// (Section IV-G): the controller samples activations with probability p into
-// a single pending-address register (a newer selection overwrites an
-// unissued one — precisely the single-entry-tracker behaviour the analytic
-// model assumes), and may issue at most one DRFM every `interval` refresh
-// opportunities.
-type PARADRFM struct {
-	p        float64
-	pT       rng.Threshold
-	interval int
-	rng      *rng.Stream
-
-	pendingRow   int
-	pendingValid bool
-	sinceIssue   int
-	rowBits      int
-}
-
-var _ tracker.Tracker = (*PARADRFM)(nil)
-
-// NewPARADRFM returns a PARA-DRFM with sampling probability p, issuing at
-// most one DRFM per interval mitigation opportunities (DDR5: interval=2;
-// the enhanced PARA-DRFM+ uses interval=1).
-func NewPARADRFM(p float64, interval, rowBits int, r *rng.Stream) *PARADRFM {
-	if p <= 0 || p > 1 {
-		panic(fmt.Sprintf("baseline: PARA-DRFM probability must be in (0,1], got %v", p))
-	}
-	if interval < 1 {
-		panic(fmt.Sprintf("baseline: DRFM interval must be >= 1, got %d", interval))
-	}
-	if r == nil {
-		panic("baseline: nil rng stream")
-	}
-	return &PARADRFM{p: p, pT: rng.NewThreshold(p), interval: interval, rowBits: rowBits, rng: r, sinceIssue: interval}
-}
-
-// Name implements tracker.Tracker.
-func (d *PARADRFM) Name() string {
-	if d.interval == 1 {
-		return "PARA-DRFM+"
-	}
-	return "PARA-DRFM"
-}
-
-// OnActivate samples the row into the pending register, overwriting any
-// unissued selection.
-func (d *PARADRFM) OnActivate(row int) {
-	if d.rng.BernoulliT(d.pT) {
-		d.pendingRow = row
-		d.pendingValid = true
-	}
-}
-
-// OnMitigate issues the pending DRFM if the rate limit allows.
-func (d *PARADRFM) OnMitigate() (tracker.Mitigation, bool) {
-	d.sinceIssue++
-	if !d.pendingValid || d.sinceIssue < d.interval {
-		return tracker.Mitigation{}, false
-	}
-	d.sinceIssue = 0
-	d.pendingValid = false
-	return tracker.Mitigation{Row: d.pendingRow, Level: 1}, true
-}
-
-// Occupancy implements tracker.Tracker.
-func (d *PARADRFM) Occupancy() int {
-	if d.pendingValid {
-		return 1
-	}
-	return 0
-}
-
-// StorageBits implements tracker.Tracker: one row register plus a valid bit
-// and the rate-limit counter.
-func (d *PARADRFM) StorageBits() int { return d.rowBits + 1 + 8 }
-
-// Reset implements tracker.Tracker.
-func (d *PARADRFM) Reset() {
-	d.pendingValid = false
-	d.sinceIssue = d.interval
 }
 
 // PARFM is PARA co-designed with RFM per Mithril (Section V-C): every

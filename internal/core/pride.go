@@ -477,7 +477,7 @@ func (p *PrIDE) Snapshot() []tracker.Mitigation {
 // negligible; we count them anyway for honesty.
 func (p *PrIDE) StorageBits() int {
 	perEntry := p.cfg.RowBits + 3
-	regBits := ceilLog2(p.cfg.Entries) + ceilLog2(p.cfg.Entries+1)
+	regBits := tracker.CounterBits(p.cfg.Entries-1) + tracker.CounterBits(p.cfg.Entries)
 	return p.cfg.Entries*perEntry + regBits
 }
 
@@ -489,12 +489,4 @@ func (p *PrIDE) Reset() {
 	p.ptr = 0
 	p.occ = 0
 	p.stats = Statistics{}
-}
-
-func ceilLog2(n int) int {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	return b
 }

@@ -13,7 +13,6 @@ package memctrl
 import (
 	"fmt"
 
-	"pride/internal/baseline"
 	"pride/internal/dram"
 	"pride/internal/guard"
 	"pride/internal/tracker"
@@ -86,7 +85,7 @@ type Controller struct {
 	// the tracker lacks the capability. sa is the shared fast-forward
 	// surface; the engines refine it to SkipAdvancer (geometric gaps) or
 	// ScheduledAdvancer (interval schedules) before they advance.
-	im baseline.ImmediateMitigator
+	im tracker.ImmediateMitigator
 	sa tracker.Advancer
 	// idm caches the tracker's IdleMitigator capability: when non-nil and
 	// the tracker is empty, whole insertion-free cadence stretches collapse
@@ -115,7 +114,7 @@ func New(cfg Config, bank *dram.Bank, trk tracker.Tracker) *Controller {
 		panic("memctrl: nil bank or tracker")
 	}
 	c := &Controller{cfg: cfg, bank: bank, trk: trk, w: cfg.Params.ACTsPerTREFI()}
-	c.im, _ = trk.(baseline.ImmediateMitigator)
+	c.im, _ = trk.(tracker.ImmediateMitigator)
 	c.sa, _ = trk.(tracker.Advancer)
 	c.idm, _ = trk.(tracker.IdleMitigator)
 	c.ba, _ = trk.(tracker.BatchActivator)
@@ -156,7 +155,7 @@ func (c *Controller) Activate(row int) {
 // each segment runs through one bank loop, then through the tracker's
 // batch method (per-row OnActivate for a tracker without one), and then
 // the boundary fires. A tracker that mitigates immediately (PARA, MOAT,
-// the counter baselines) dispatches into the bank after each ACT, so its
+// Graphene) dispatches into the bank after each ACT, so its
 // segments keep the per-ACT step. OnFlip and tracker observers therefore
 // see a segment's bank events before its tracker events.
 func (c *Controller) ActivateRows(rows []int32) {

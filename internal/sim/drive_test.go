@@ -170,9 +170,9 @@ func TestDriveSplitEqualsWhole(t *testing.T) {
 }
 
 // TestSchemeControllerAppliesSchemeSettings pins the controller settings
-// Scheme.Controller takes from a scheme: the RFM threshold and the
-// mitigation cadence (an unset cadence means every REF) show in the
-// distance to the first mitigation opportunity of a fresh controller.
+// Scheme.Controller takes from a scheme: the RFM threshold, or without one
+// the every-REF cadence, shows in the distance to the first mitigation
+// opportunity of a fresh controller.
 func TestSchemeControllerAppliesSchemeSettings(t *testing.T) {
 	p := simParams()
 	w := p.ACTsPerTREFI()
@@ -182,8 +182,6 @@ func TestSchemeControllerAppliesSchemeSettings(t *testing.T) {
 	}{
 		{PrIDEScheme(), w},
 		{PrIDERFMScheme(core.RFM16), core.RFM16},
-		{Scheme{Name: "every-2-REF", MitigationEveryNREF: 2, New: PrIDEScheme().New}, 2 * w},
-		{Scheme{Name: "cadence-unset", New: PrIDEScheme().New}, w},
 	} {
 		ctrl := c.s.Controller(p, dram.MustNewBank(p, 0), rng.New(1), false)
 		if got := ctrl.ACTsToNextMitigation(); got != c.next {

@@ -20,8 +20,7 @@ import (
 // must be bit-identical.
 func pOneScheme() Scheme {
 	return Scheme{
-		Name:                "PrIDE-p1",
-		MitigationEveryNREF: 1,
+		Name: "PrIDE-p1",
 		New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 			cfg := core.DefaultConfig(p.ACTsPerTREFI())
 			cfg.RowBits = p.RowBits

@@ -1,9 +1,9 @@
 // Package sim is the full-system attack simulator: it replays attack
 // patterns (internal/patterns) through a memory controller
 // (internal/memctrl) driving a DRAM bank (internal/dram) protected by a
-// tracker (internal/core or internal/baseline), and measures the paper's
-// evaluation metrics — Maximum Disturbance for Fig 15 and per-row measured
-// loss probability for Fig 18 / Appendix C.
+// tracker (internal/core, internal/baseline or internal/tracker), and
+// measures the paper's evaluation metrics — Maximum Disturbance for Fig 15
+// and per-row measured loss probability for Fig 18 / Appendix C.
 package sim
 
 import (
@@ -19,31 +19,27 @@ import (
 	"pride/internal/tracker"
 )
 
-// Scheme bundles a tracker factory with the controller settings the scheme
-// needs (RFM threshold, mitigation cadence). Factories take a private RNG
-// stream so trials with different seeds are independent.
+// Scheme bundles a tracker factory with the controller setting the scheme
+// needs (its RFM threshold); every scheme mitigates at every REF.
+// Factories take a private RNG stream so trials with different seeds are
+// independent.
 type Scheme struct {
 	Name string
 	// RFMThreshold configures the controller's RAA counter (0 = no RFM).
 	RFMThreshold int
-	// MitigationEveryNREF is the REF-to-mitigation cadence (default 1).
-	MitigationEveryNREF int
 	// New constructs a fresh tracker for one trial.
 	New func(p dram.Params, r *rng.Stream) tracker.Tracker
 }
 
 // Controller builds the scheme's tracker on stream r and wires it to bank
-// under the scheme's RFM threshold and mitigation cadence, with the
-// controller's, bank's and tracker's invariant guards armed when selfCheck
-// is set. It is the one place a scheme becomes a controller: the attack,
-// TTF and replay front ends all build theirs here (replay sets a copy's
-// RFMThreshold to the channel's budget first).
+// under the scheme's RFM threshold and memctrl's every-REF mitigation
+// cadence, with the controller's, bank's and tracker's invariant guards
+// armed when selfCheck is set. It is the one place a scheme becomes a
+// controller: the attack, TTF and replay front ends all build theirs here
+// (replay sets a copy's RFMThreshold to the channel's budget first).
 func (s Scheme) Controller(p dram.Params, bank *dram.Bank, r *rng.Stream, selfCheck bool) *memctrl.Controller {
 	cfg := memctrl.DefaultConfig(p)
 	cfg.RFMThreshold = s.RFMThreshold
-	if s.MitigationEveryNREF > 0 {
-		cfg.MitigationEveryNREF = s.MitigationEveryNREF
-	}
 	cfg.SelfCheck = selfCheck
 	return memctrl.New(cfg, bank, s.New(p, r))
 }
@@ -51,8 +47,7 @@ func (s Scheme) Controller(p dram.Params, bank *dram.Bank, r *rng.Stream, selfCh
 // PrIDEScheme returns the paper's default PrIDE configuration as a Scheme.
 func PrIDEScheme() Scheme {
 	return Scheme{
-		Name:                "PrIDE",
-		MitigationEveryNREF: 1,
+		Name: "PrIDE",
 		New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 			cfg := core.DefaultConfig(p.ACTsPerTREFI())
 			cfg.RowBits = p.RowBits
@@ -64,9 +59,8 @@ func PrIDEScheme() Scheme {
 // PrIDERFMScheme returns PrIDE co-designed with RFM at the given threshold.
 func PrIDERFMScheme(threshold int) Scheme {
 	return Scheme{
-		Name:                fmt.Sprintf("PrIDE+RFM%d", threshold),
-		RFMThreshold:        threshold,
-		MitigationEveryNREF: 1,
+		Name:         fmt.Sprintf("PrIDE+RFM%d", threshold),
+		RFMThreshold: threshold,
 		New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 			cfg := core.RFMConfig(threshold)
 			cfg.RowBits = p.RowBits
@@ -80,30 +74,26 @@ func PrIDERFMScheme(threshold int) Scheme {
 func Fig15Schemes() []Scheme {
 	return []Scheme{
 		{
-			Name:                "PRoHIT",
-			MitigationEveryNREF: 1,
+			Name: "PRoHIT",
 			New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 				return baseline.NewPRoHIT(baseline.DefaultPRoHITEntries, p.RowBits,
 					baseline.DefaultPRoHITInsertProb, baseline.DefaultPRoHITPromoteProb, r)
 			},
 		},
 		{
-			Name:                "DSAC",
-			MitigationEveryNREF: 1,
+			Name: "DSAC",
 			New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 				return baseline.NewDSAC(baseline.DefaultDSACEntries, p.RowBits, r)
 			},
 		},
 		{
-			Name:                "PARA-MC",
-			MitigationEveryNREF: 1,
+			Name: "PARA-MC",
 			New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 				return baseline.NewPARA(1/float64(p.ACTsPerTREFI()+1), r)
 			},
 		},
 		{
-			Name:                "PARFM",
-			MitigationEveryNREF: 1,
+			Name: "PARFM",
 			New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 				return baseline.NewPARFM(p.ACTsPerTREFI(), p.RowBits, r)
 			},
@@ -121,8 +111,7 @@ func Fig15Schemes() []Scheme {
 // of work bypassed.
 func TRRScheme() Scheme {
 	return Scheme{
-		Name:                "TRR",
-		MitigationEveryNREF: 1,
+		Name: "TRR",
 		New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 			return baseline.NewTRR(baseline.DefaultTRREntries, p.RowBits)
 		},
@@ -134,8 +123,7 @@ func TRRScheme() Scheme {
 // activation is pre-selected per interval instead of drawn per ACT.
 func MINTScheme() Scheme {
 	return Scheme{
-		Name:                "MINT",
-		MitigationEveryNREF: 1,
+		Name: "MINT",
 		New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 			return tracker.NewMINT(p.ACTsPerTREFI(), p.RowBits, r)
 		},
@@ -148,8 +136,7 @@ func MINTScheme() Scheme {
 // loop for it.
 func MOATScheme() Scheme {
 	return Scheme{
-		Name:                "MOAT",
-		MitigationEveryNREF: 1,
+		Name: "MOAT",
 		New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 			return tracker.NewMOAT(p.RowsPerBank, p.RowBits, tracker.DefaultMOATATI, tracker.DefaultMOATATO)
 		},

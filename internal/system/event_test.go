@@ -20,8 +20,7 @@ import (
 // are consumed in the exact engine's order — so trials are bit-identical.
 func pOneScheme() sim.Scheme {
 	return sim.Scheme{
-		Name:                "PrIDE-p1",
-		MitigationEveryNREF: 1,
+		Name: "PrIDE-p1",
 		New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 			cfg := core.DefaultConfig(p.ACTsPerTREFI())
 			cfg.RowBits = p.RowBits
@@ -46,8 +45,7 @@ func TestRunEngineFallsBackWithoutSkipAhead(t *testing.T) {
 	// PRoHIT's insertion decision is table-state-coupled: no skip-ahead,
 	// so the event engine must fall back to an identically-seeded exact run.
 	prohit := sim.Scheme{
-		Name:                "PRoHIT",
-		MitigationEveryNREF: 1,
+		Name: "PRoHIT",
 		New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
 			return baseline.NewPRoHIT(baseline.DefaultPRoHITEntries, p.RowBits,
 				baseline.DefaultPRoHITInsertProb, baseline.DefaultPRoHITPromoteProb, r)

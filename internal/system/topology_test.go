@@ -324,8 +324,7 @@ func (nullTracker) Reset()                                 {}
 
 func nullScheme() sim.Scheme {
 	return sim.Scheme{
-		Name:                "null",
-		MitigationEveryNREF: 1,
+		Name: "null",
 		New: func(dram.Params, *rng.Stream) tracker.Tracker {
 			return nullTracker{}
 		},

@@ -93,9 +93,6 @@ func (m *MINT) drawTarget() {
 // Name implements Tracker.
 func (m *MINT) Name() string { return "MINT" }
 
-// Window returns the configured mitigation window W.
-func (m *MINT) Window() int { return m.w }
-
 // SetSelfCheck implements SelfChecker.
 func (m *MINT) SetSelfCheck(on bool) { m.selfCheck = on }
 
@@ -200,7 +197,7 @@ func (m *MINT) Snapshot() []Mitigation {
 // (1..W, ceil(log2 W) bits). For rowBits=17 and W=79 this is 32 bits —
 // versus PrIDE's 85 and the kilobit-scale counter tables.
 func (m *MINT) StorageBits() int {
-	return m.rowBits + 1 + counterBits(m.w) + counterBits(m.w-1)
+	return m.rowBits + 1 + CounterBits(m.w) + CounterBits(m.w-1)
 }
 
 // Stats returns a copy of the decision counters.
@@ -214,14 +211,4 @@ func (m *MINT) Reset() {
 	m.slotValid = false
 	m.stats = MINTStatistics{}
 	m.drawTarget()
-}
-
-// counterBits returns the width of a hardware counter representing every
-// value in 0..max inclusive: ceil(log2(max+1)) bits.
-func counterBits(max int) int {
-	b := 0
-	for v := max; v > 0; v >>= 1 {
-		b++
-	}
-	return b
 }

@@ -68,7 +68,10 @@ type MOAT struct {
 	stats MOATStatistics
 }
 
-var _ Tracker = (*MOAT)(nil)
+var (
+	_ Tracker            = (*MOAT)(nil)
+	_ ImmediateMitigator = (*MOAT)(nil)
+)
 
 // NewMOAT returns a MOAT tracker over a bank of the given row count, with
 // internal threshold ati and alert threshold ato. It panics on an invalid
@@ -91,12 +94,6 @@ func NewMOAT(rows, rowBits, ati, ato int) *MOAT {
 
 // Name implements Tracker.
 func (m *MOAT) Name() string { return "MOAT" }
-
-// ATI returns the internal mitigation threshold.
-func (m *MOAT) ATI() int { return m.ati }
-
-// ATO returns the alert threshold — the deterministic disturbance cap.
-func (m *MOAT) ATO() int { return m.ato }
 
 // OnActivate bumps the row's counter. Crossing ATI makes the row the
 // pending candidate if it is now the hottest; crossing ATO queues an
@@ -125,9 +122,9 @@ func (m *MOAT) OnActivate(row int) {
 	}
 }
 
-// DrainImmediate returns and clears the ALERT mitigations (structurally
-// satisfying baseline.ImmediateMitigator, like PARA). The returned slice is
-// reused: it is valid only until the next OnActivate.
+// DrainImmediate implements ImmediateMitigator, returning and clearing the
+// ALERT mitigations. The returned slice is reused: it is valid only until
+// the next OnActivate.
 func (m *MOAT) DrainImmediate() []Mitigation {
 	out := m.alerts
 	m.alerts = m.alerts[:0]
@@ -160,7 +157,7 @@ func (m *MOAT) StorageBits() int { return m.rowBits + 1 }
 
 // DRAMCounterBits returns the in-mat counter cost: one 0..ATO-1 counter per
 // row (the counter resets upon reaching ATO, so ATO itself is never stored).
-func (m *MOAT) DRAMCounterBits() int { return m.rows * counterBits(m.ato-1) }
+func (m *MOAT) DRAMCounterBits() int { return m.rows * CounterBits(m.ato-1) }
 
 // Stats returns a copy of the decision counters.
 func (m *MOAT) Stats() MOATStatistics { return m.stats }

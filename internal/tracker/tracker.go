@@ -1,13 +1,15 @@
 // Package tracker defines the interface shared by every in-DRAM (and
-// controller-side) Rowhammer tracker in this repository: the paper's PrIDE
-// as well as the baselines it is compared against (TRR, DSAC, PRoHIT, PARA,
-// PARFM, Graphene).
+// controller-side) Rowhammer tracker in this repository: the paper's PrIDE,
+// the baselines it is compared against (TRR, DSAC, PRoHIT, PARA, PARFM,
+// Graphene), and the MINT and MOAT trackers of the zoo, which live here.
 //
 // A tracker, per Section II-G of the paper, is an N-entry structure managed
 // by three policies — insertion, eviction, and mitigation — and the interface
 // mirrors exactly the two events those policies react to: a demand activation
 // and a mitigation opportunity.
 package tracker
+
+import "math/bits"
 
 // Mitigation describes one mitigative action selected by a tracker: refresh
 // the neighbours of Row at distance band Level (Level 1 = the immediately
@@ -48,6 +50,19 @@ type Tracker interface {
 	// Reset restores the tracker to its initial (empty) state without
 	// reseeding any internal randomness source.
 	Reset()
+}
+
+// ImmediateMitigator is implemented by trackers that issue mitigations
+// immediately on an activation (PARA, Graphene, MOAT's ALERT) rather than
+// waiting for a refresh opportunity. The controller drains these after
+// every activation.
+type ImmediateMitigator interface {
+	// DrainImmediate returns and clears mitigations to perform right now.
+	// The returned slice is borrowed: implementations reuse its backing
+	// array, so it is valid only until the next OnActivate on the same
+	// tracker. Callers that retain mitigations must copy them out (ranging
+	// over the slice and appending values, as the simulators do, is safe).
+	DrainImmediate() []Mitigation
 }
 
 // BatchActivator is implemented by trackers that observe a run of demand
@@ -163,4 +178,15 @@ type IdleMitigator interface {
 type SelfChecker interface {
 	// SetSelfCheck enables or disables the tracker's invariant guards.
 	SetSelfCheck(on bool)
+}
+
+// CounterBits returns the width of a hardware counter that must represent
+// every value in 0..max inclusive: ceil(log2(max+1)) bits, and 0 when max
+// is not positive. A register indexing n entries holds 0..n-1, so it needs
+// CounterBits(n-1) bits.
+func CounterBits(max int) int {
+	if max <= 0 {
+		return 0
+	}
+	return bits.Len(uint(max))
 }

@@ -28,7 +28,6 @@ func TestConformance(t *testing.T) {
 			Snapshot: func(tr tracker.Tracker) []tracker.Mitigation {
 				return tr.(*core.PrIDE).Snapshot()
 			},
-			ZeroAllocActivate: true,
 		},
 		{
 			Name: "PARA",
@@ -37,40 +36,28 @@ func TestConformance(t *testing.T) {
 			},
 			// PARA keeps no per-row state; its only occupancy is the
 			// pending-mitigation list the suite drains, so no capacity bound.
-			AllowZeroStorage:  true,
-			ZeroAllocActivate: true,
-		},
-		{
-			Name: "PARA-DRFM",
-			New: func(seed uint64) tracker.Tracker {
-				return baseline.NewPARADRFM(1.0/float64(w), 2, 17, rng.New(seed))
-			},
-			MaxOccupancy:      1,
-			ZeroAllocActivate: true,
+			AllowZeroStorage: true,
 		},
 		{
 			Name: "PAR-FM",
 			New: func(seed uint64) tracker.Tracker {
 				return baseline.NewPARFM(w, 17, rng.New(seed))
 			},
-			MaxOccupancy:      w,
-			ZeroAllocActivate: true,
+			MaxOccupancy: w,
 		},
 		{
 			Name: "TRR",
 			New: func(uint64) tracker.Tracker {
 				return baseline.NewTRR(baseline.DefaultTRREntries, 17)
 			},
-			MaxOccupancy:      baseline.DefaultTRREntries,
-			ZeroAllocActivate: true,
+			MaxOccupancy: baseline.DefaultTRREntries,
 		},
 		{
 			Name: "DSAC",
 			New: func(seed uint64) tracker.Tracker {
 				return baseline.NewDSAC(baseline.DefaultDSACEntries, 17, rng.New(seed))
 			},
-			MaxOccupancy:      baseline.DefaultDSACEntries,
-			ZeroAllocActivate: true,
+			MaxOccupancy: baseline.DefaultDSACEntries,
 		},
 		{
 			Name: "PRoHIT",
@@ -78,40 +65,14 @@ func TestConformance(t *testing.T) {
 				return baseline.NewPRoHIT(baseline.DefaultPRoHITEntries, 17,
 					baseline.DefaultPRoHITInsertProb, baseline.DefaultPRoHITPromoteProb, rng.New(seed))
 			},
-			MaxOccupancy:      baseline.DefaultPRoHITEntries,
-			ZeroAllocActivate: true,
+			MaxOccupancy: baseline.DefaultPRoHITEntries,
 		},
 		{
 			Name: "Graphene",
 			New: func(uint64) tracker.Tracker {
 				return baseline.NewGraphene(64, 32, 17)
 			},
-			MaxOccupancy:      64,
-			ZeroAllocActivate: true,
-		},
-		{
-			Name: "TWiCe",
-			New: func(uint64) tracker.Tracker {
-				return baseline.NewTWiCe(32, 8*trackertest.Rows, 100, 17)
-			},
-			// TWiCe's table is pruned, not capacity-capped; it can never
-			// exceed the number of distinct rows in the driven space.
-			MaxOccupancy: trackertest.Rows,
-		},
-		{
-			Name: "CAT",
-			New: func(uint64) tracker.Tracker {
-				return baseline.NewCAT(trackertest.Rows, 32, 64, 10)
-			},
 			MaxOccupancy: 64,
-		},
-		{
-			Name: "Mithril",
-			New: func(uint64) tracker.Tracker {
-				return baseline.NewMithril(32, 17)
-			},
-			MaxOccupancy:      32,
-			ZeroAllocActivate: true,
 		},
 		{
 			Name: "MINT",
@@ -124,7 +85,6 @@ func TestConformance(t *testing.T) {
 			Snapshot: func(tr tracker.Tracker) []tracker.Mitigation {
 				return tr.(*tracker.MINT).Snapshot()
 			},
-			ZeroAllocActivate: true,
 		},
 		{
 			Name: "MOAT",
@@ -134,8 +94,7 @@ func TestConformance(t *testing.T) {
 			},
 			// Occupancy counts rows at or above ATI; in the worst case every
 			// row in the driven space is hot at once.
-			MaxOccupancy:      trackertest.Rows,
-			ZeroAllocActivate: true,
+			MaxOccupancy: trackertest.Rows,
 		},
 	}
 
@@ -295,17 +254,6 @@ func TestStorageAudit(t *testing.T) {
 			},
 		},
 		{
-			Name: "PARA-DRFM",
-			New: func() tracker.Tracker {
-				return baseline.NewPARADRFM(1.0/float64(w), 2, 17, rng.New(1))
-			},
-			Fields: []trackertest.StorageField{
-				{Name: "selection row register", Bits: 17},
-				{Name: "selection valid bit", Bits: 1},
-				{Name: "DRFM pacing counter", Bits: 8},
-			},
-		},
-		{
 			Name: "PAR-FM",
 			New: func() tracker.Tracker {
 				return baseline.NewPARFM(w, 17, rng.New(1))
@@ -323,6 +271,20 @@ func TestMOATDRAMCounterBits(t *testing.T) {
 	m := tracker.NewMOAT(8192, 13, tracker.DefaultMOATATI, tracker.DefaultMOATATO)
 	if got, want := m.DRAMCounterBits(), 8192*7; got != want {
 		t.Fatalf("DRAMCounterBits() = %d, want %d (8192 rows x 7-bit PRAC counters)", got, want)
+	}
+}
+
+func TestCounterBits(t *testing.T) {
+	// A counter holding 0..max needs ceil(log2(max+1)) bits, not
+	// bits.Len(max)+1: a threshold-32 counter needs 6 bits, not 7.
+	cases := []struct{ max, want int }{
+		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
+		{15, 4}, {16, 5}, {32, 6}, {1000, 10}, {1024, 11},
+	}
+	for _, c := range cases {
+		if got := tracker.CounterBits(c.max); got != c.want {
+			t.Errorf("CounterBits(%d) = %d, want %d", c.max, got, c.want)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package trackertest provides a conformance suite that every
 // tracker.Tracker implementation in this repository must pass. The suite
 // checks only the contract of the interface — name stability, storage
-// accounting, bounded occupancy, Reset semantics, and same-seed
-// determinism — so that the cross-scheme comparison experiments can treat
-// PrIDE and all baselines interchangeably.
+// accounting, bounded occupancy, Reset semantics, same-seed determinism and
+// an allocation-free activation path — so that the cross-scheme comparison
+// experiments can treat PrIDE and all baselines interchangeably.
 package trackertest
 
 import (
@@ -15,8 +15,9 @@ import (
 )
 
 // Rows is the row-address space the suite drives trackers over. Specs must
-// construct trackers that accept activations anywhere in [0, Rows); CAT in
-// particular must be built over at least this many rows.
+// construct trackers that accept activations anywhere in [0, Rows); a
+// tracker with per-row state (MOAT) must be built over at least this many
+// rows.
 const Rows = 1024
 
 // Spec describes one tracker implementation under conformance test.
@@ -39,18 +40,6 @@ type Spec struct {
 	// FRONT and zero or more appended at the BACK. Set it only for trackers
 	// whose eviction and mitigation policies are both FIFO.
 	Snapshot func(tr tracker.Tracker) []tracker.Mitigation
-	// ZeroAllocActivate, when true, asserts the steady-state per-activation
-	// hot path — OnActivate, inline mitigation drains, and the periodic
-	// OnMitigate — performs zero heap allocations, the property the
-	// allocation-free engine loops rely on. Leave it false for trackers with
-	// structurally allocating hot paths (TWiCe's map, CAT's tree splits).
-	ZeroAllocActivate bool
-}
-
-// immediateMitigator matches baseline.ImmediateMitigator structurally so the
-// suite can drain inline mitigations without importing the baseline package.
-type immediateMitigator interface {
-	DrainImmediate() []tracker.Mitigation
 }
 
 // trace is everything externally observable about one driven run: the
@@ -66,7 +55,7 @@ type trace struct {
 func drive(tr tracker.Tracker, streamSeed uint64, nSteps int) trace {
 	var tc trace
 	stream := rng.New(streamSeed)
-	im, hasImmediate := tr.(immediateMitigator)
+	im, hasImmediate := tr.(tracker.ImmediateMitigator)
 	for i := 0; i < nSteps; i++ {
 		tr.OnActivate(int(stream.Uint64() % Rows))
 		if hasImmediate {
@@ -127,19 +116,23 @@ func RunConformance(t *testing.T, s Spec) {
 	})
 
 	t.Run("ResetRestoresFreshState", func(t *testing.T) {
-		// Fresh occupancy is implementation-defined (CAT's root leaf counts
-		// as one), so Reset is compared against a fresh instance rather
-		// than against zero.
-		freshOcc := s.New(1).Occupancy()
+		// Tracker.Reset restores the initial, empty state: no valid entries
+		// and nothing left to mitigate, whatever the tracker held before.
 		tr := s.New(1)
+		if got := tr.Occupancy(); got != 0 {
+			t.Fatalf("fresh Occupancy() = %d, want 0", got)
+		}
 		drive(tr, 4, 400)
 		tr.Reset()
-		if got := tr.Occupancy(); got != freshOcc {
-			t.Fatalf("Occupancy() after Reset = %d, fresh instance has %d", got, freshOcc)
+		if got := tr.Occupancy(); got != 0 {
+			t.Fatalf("Occupancy() after Reset = %d, want 0", got)
 		}
 		tr.Reset() // Reset must be idempotent.
-		if got := tr.Occupancy(); got != freshOcc {
-			t.Fatalf("Occupancy() after double Reset = %d, fresh instance has %d", got, freshOcc)
+		if got := tr.Occupancy(); got != 0 {
+			t.Fatalf("Occupancy() after double Reset = %d, want 0", got)
+		}
+		if m, ok := tr.OnMitigate(); ok {
+			t.Fatalf("OnMitigate() after Reset = %+v, want nothing to mitigate", m)
 		}
 	})
 
@@ -207,32 +200,33 @@ func RunConformance(t *testing.T, s Spec) {
 		})
 	}
 
-	if s.ZeroAllocActivate {
-		t.Run("ZeroAllocActivate", func(t *testing.T) {
-			tr := s.New(14)
-			im, hasImmediate := tr.(immediateMitigator)
-			// Warm up so amortized buffers (pending-mitigation lists) reach
-			// their steady-state capacity before allocations are counted.
-			drive(tr, 15, 400)
+	t.Run("ZeroAllocActivate", func(t *testing.T) {
+		// The steady-state per-activation hot path (OnActivate, inline
+		// mitigation drains and the periodic OnMitigate) must not allocate:
+		// the allocation-free engine loops rely on it.
+		tr := s.New(14)
+		im, hasImmediate := tr.(tracker.ImmediateMitigator)
+		// Warm up so amortized buffers (pending-mitigation lists) reach
+		// their steady-state capacity before allocations are counted.
+		drive(tr, 15, 400)
+		if hasImmediate {
+			im.DrainImmediate()
+		}
+		stream := rng.New(16)
+		i := 0
+		allocs := testing.AllocsPerRun(2000, func() {
+			tr.OnActivate(int(stream.Uint64() % Rows))
 			if hasImmediate {
 				im.DrainImmediate()
 			}
-			stream := rng.New(16)
-			i := 0
-			allocs := testing.AllocsPerRun(2000, func() {
-				tr.OnActivate(int(stream.Uint64() % Rows))
-				if hasImmediate {
-					im.DrainImmediate()
-				}
-				if i++; i%8 == 0 {
-					tr.OnMitigate()
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("per-activation hot path allocates %.1f allocs/op; the engine loops require 0", allocs)
+			if i++; i%8 == 0 {
+				tr.OnMitigate()
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("per-activation hot path allocates %.1f allocs/op; the engine loops require 0", allocs)
+		}
+	})
 }
 
 // isFIFOSuccessor reports whether cur can be derived from old by removing

@@ -60,11 +60,11 @@ type skipPair struct {
 
 	stepped     tracker.SkipAdvancer
 	steppedSrc  *modeSource
-	steppedImm  immediateMitigator
+	steppedImm  tracker.ImmediateMitigator
 	hasImm      bool
 	skip        tracker.SkipAdvancer
 	skipSrc     *modeSource
-	skipImm     immediateMitigator
+	skipImm     tracker.ImmediateMitigator
 	steppedRows int // row counter for idle-ACT addresses
 }
 
@@ -75,9 +75,9 @@ func newSkipPair(t *testing.T, s SkipSpec) *skipPair {
 	p.skipSrc = &modeSource{v: idleDraw}
 	p.stepped = s.New(rng.NewStream(p.steppedSrc))
 	p.skip = s.New(rng.NewStream(p.skipSrc))
-	p.steppedImm, p.hasImm = p.stepped.(immediateMitigator)
+	p.steppedImm, p.hasImm = p.stepped.(tracker.ImmediateMitigator)
 	if p.hasImm {
-		p.skipImm = p.skip.(immediateMitigator)
+		p.skipImm = p.skip.(tracker.ImmediateMitigator)
 	}
 	return p
 }
