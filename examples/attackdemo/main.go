@@ -13,14 +13,10 @@ import (
 	"io"
 	"os"
 
-	"pride/internal/baseline"
-	"pride/internal/dram"
 	"pride/internal/engine"
 	"pride/internal/patterns"
 	"pride/internal/report"
-	"pride/internal/rng"
 	"pride/internal/sim"
-	"pride/internal/tracker"
 )
 
 func main() {
@@ -50,14 +46,7 @@ func run(out io.Writer, acts int) {
 
 	// The defenders: a DDR4-style TRR, the published low-cost trackers,
 	// and PrIDE.
-	schemes := []sim.Scheme{
-		{
-			Name: "TRR",
-			New: func(p dram.Params, r *rng.Stream) tracker.Tracker {
-				return baseline.NewTRR(baseline.DefaultTRREntries, p.RowBits)
-			},
-		},
-	}
+	schemes := []sim.Scheme{sim.TRRScheme()}
 	for _, s := range sim.Fig15Schemes() {
 		if s.Name == "DSAC" || s.Name == "PRoHIT" || s.Name == "PrIDE" {
 			schemes = append(schemes, s)

@@ -332,14 +332,6 @@ func (s *RowScrambler) Unscramble(phys int) int {
 // Rows returns the scrambler's domain size.
 func (s *RowScrambler) Rows() int { return s.rows }
 
-// InternalNeighbors returns the internal physical rows adjacent to the
-// internal location of external row r — what an in-DRAM mitigation
-// refreshes (it knows the true geometry).
-func (s *RowScrambler) InternalNeighbors(row int) (lo, hi int) {
-	p := s.Scramble(row)
-	return p - 1, p + 1
-}
-
 // ExternalGuessNeighbors returns the internal locations of the externally
 // adjacent rows r±1 — what an MC-side mitigation actually refreshes when it
 // assumes external adjacency. With a nontrivial scramble these are far from

@@ -332,8 +332,9 @@ type ReplayResult struct {
 	PerChannel []system.ChannelSummary `json:"per_channel"`
 }
 
-// MaxReplayRecords bounds the records of one replay job. Demux queues every
-// record as a 4-byte row, so the bound caps a job's queues at 1 GiB. A
+// MaxReplayRecords bounds the records of one replay job. Demux queues each
+// run of identical consecutive records as one 4-byte entry, so the bound
+// caps a job's queues at 1 GiB, reached when no record repeats the last. A
 // submission over it is rejected before anything is generated or read: a
 // generated job's count is its acts, a trace file's the count its header
 // declares.

@@ -145,6 +145,26 @@ func TestMOATEventFallsBackToExact(t *testing.T) {
 	}
 }
 
+// moatFeint hammers three aggressors three rows apart in a four-tREFI
+// cycle: two tREFIs round-robin over all three, one over the last two, one
+// on the last alone. REF mitigation falls behind the last aggressor's
+// rising rate, so only MOAT's ALERT keeps its victims at ATO.
+func moatFeint(base int) *patterns.Pattern {
+	w := simParams().ACTsPerTREFI()
+	aggs := []int{base, base + 3, base + 6}
+	var seq []int
+	for i := 0; i < 2*w; i++ {
+		seq = append(seq, aggs[i%3])
+	}
+	for i := 0; i < w; i++ {
+		seq = append(seq, aggs[1+i%2])
+	}
+	for i := 0; i < w; i++ {
+		seq = append(seq, aggs[2])
+	}
+	return &patterns.Pattern{Name: "moat-feint", Sequence: seq, Aggressors: aggs}
+}
+
 func TestMOATDisturbanceCappedAtATO(t *testing.T) {
 	// MOAT's ALERT threshold is a deterministic cap: no row can accumulate
 	// more than ATO activations between mitigations, for ANY pattern.
@@ -153,6 +173,7 @@ func TestMOATDisturbanceCappedAtATO(t *testing.T) {
 		patterns.SingleSided(2000),
 		patterns.DoubleSided(2500),
 		patterns.TRRespass(1000, 40, 3),
+		moatFeint(3000),
 	} {
 		res := RunAttack(cfg, MOATScheme(), pat, 3, engine.Event)
 		if res.MaxDisturbance > tracker.DefaultMOATATO {
@@ -161,6 +182,13 @@ func TestMOATDisturbanceCappedAtATO(t *testing.T) {
 		}
 		if res.Mitigations == 0 {
 			t.Errorf("%s: MOAT dispatched no mitigations", pat.Name)
+		}
+		// REF alone keeps the other patterns under ATO; the feint reaches
+		// it, so its cap is ALERT's doing (MOAT, arXiv:2407.09995, rests
+		// its bound on ALERT).
+		if pat.Name == "moat-feint" && res.MaxDisturbance < tracker.DefaultMOATATO {
+			t.Errorf("%s: MOAT max disturbance %d stays under ATO %d: the pattern no longer needs ALERT to be capped",
+				pat.Name, res.MaxDisturbance, tracker.DefaultMOATATO)
 		}
 	}
 }

@@ -39,15 +39,15 @@ import (
 // released with the topology.
 type Topology struct {
 	cfg      TopologyConfig
-	compiled addrmap.Compiled
+	route    router
 	params   dram.Params // per-bank params derived from cfg.Params + Mapping
 	channels int
 	ranks    int
 	banks    int
 
 	mu      sync.Mutex
-	replays int       // replays that have returned their slabs
-	spare   [][]int32 // whole queue slabs no running replay holds
+	replays int        // replays that have returned their slabs
+	spare   [][]uint32 // whole queue slabs no running replay holds
 }
 
 // TopologyConfig parameterizes a server topology.
@@ -115,7 +115,7 @@ func NewTopology(cfg TopologyConfig) (*Topology, error) {
 	}
 	t := &Topology{
 		cfg:      cfg,
-		compiled: cfg.Mapping.MustCompile(),
+		route:    newRouter(cfg.Mapping),
 		channels: 1 << cfg.Mapping.ChannelBits,
 		ranks:    1 << cfg.Mapping.RankBits,
 		banks:    1 << cfg.Mapping.BankBits,
@@ -150,13 +150,46 @@ func (t *Topology) Banks() int { return t.banks }
 // Shards returns the total number of independent banks (= replay shards).
 func (t *Topology) Shards() int { return t.channels * t.ranks * t.banks }
 
-// shardIndex flattens a coordinate to its shard: channel-major, then rank,
-// then bank — the merge order of every replay result.
-func (t *Topology) shardIndex(c addrmap.Coord) int {
-	return (c.Channel*t.ranks+c.Rank)*t.banks + c.Bank
+// router routes a record to its shard and row in one pass: what
+// Compiled.Route returns, with the channel, rank and bank flattened to the
+// shard, channel-major, then rank, then bank — the merge order of every
+// replay result. The mapping lays the rank and channel fields side by side
+// right above the row (addrmap.Mapping), so one extraction yields
+// channel<<RankBits | rank, which shifted over the bank bits is the high
+// part of the shard index — no per-record multiply. Every shift count is
+// masked to 63, so the compiler drops its checks for counts of 64 and up.
+type router struct {
+	bankShift, rowShift, rankShift, bankBits uint
+	bankMask, rowMask, xorMask, chanRankMask uint64
 }
 
-// shardCoord is the inverse of shardIndex.
+func newRouter(m addrmap.Mapping) router {
+	mask := func(bits int) uint64 { return 1<<uint(bits) - 1 }
+	r := router{
+		bankShift:    uint(m.ColumnBits),
+		rowShift:     uint(m.ColumnBits + m.BankBits),
+		rankShift:    uint(m.ColumnBits + m.BankBits + m.RowBits),
+		bankBits:     uint(m.BankBits),
+		bankMask:     mask(m.BankBits),
+		rowMask:      mask(m.RowBits),
+		chanRankMask: mask(m.RankBits + m.ChannelBits),
+	}
+	if m.XORBankHash {
+		r.xorMask = r.bankMask
+	}
+	return r
+}
+
+// route returns addr's shard and its row.
+func (r *router) route(addr uint64) (shard int, row uint32) {
+	rw := (addr >> (r.rowShift & 63)) & r.rowMask
+	bank := ((addr >> (r.bankShift & 63)) & r.bankMask) ^ (rw & r.xorMask)
+	chanRank := (addr >> (r.rankShift & 63)) & r.chanRankMask
+	return int(chanRank<<(r.bankBits&63) | bank), uint32(rw)
+}
+
+// shardCoord returns the channel, rank and bank of a shard as router
+// numbers them.
 func (t *Topology) shardCoord(shard int) (channel, rank, bank int) {
 	bank = shard % t.banks
 	rank = (shard / t.banks) % t.ranks
@@ -299,38 +332,44 @@ func ReplayCampaignKey(cfg TopologyConfig, records uint64, crc uint32) string {
 // amortize the Source call, small enough to stay in cache.
 const demuxBatch = 4096
 
-// A shard queue is a chain of fixed-size row blocks carved on demand from
-// shared slabs. Demux appends each row to its shard's current block and
-// chains a full block instead of copying the queue to grow it, so a replay
-// allocates its rows once, plus at most one partly used block per shard and
-// the unused tail of the last slab.
+// A shard queue is a chain of fixed-size blocks of 32-bit entries carved on
+// demand from shared slabs. Each entry is a run: a stretch of identical
+// consecutive records of the stream, all one row of one shard. The row
+// sits in the low RowBits bits of the entry and the run length minus one
+// in the high 32-RowBits bits (Validate caps RowBits at 30, so a run field
+// has at least 2 bits); a longer run continues in the next entry. Demux
+// appends each run to its shard's current block and chains a full block
+// instead of copying the queue to grow it, so a replay allocates 4 B per
+// run, plus at most one partly used block per shard and the unused tail of
+// the last slab. queueBlockRows also sizes the row block a shard's entries
+// expand into.
 const (
-	queueBlockRows = 4 << 10   // rows per block (16 KB)
-	queueSlabRows  = 256 << 10 // rows per slab (1 MB, 64 blocks)
+	queueBlockRows = 4 << 10   // entries per block (16 KB), rows per expanded block
+	queueSlabRows  = 256 << 10 // entries per slab (1 MB, 64 blocks)
 )
 
-// rowQueue is one shard's demuxed row stream.
+// rowQueue is one shard's demuxed stream of run entries.
 type rowQueue struct {
-	blocks [][]int32 // filled blocks in stream order
-	tail   []int32   // block being filled; nil before the shard's first row
+	blocks [][]uint32 // filled blocks in stream order
+	tail   []uint32   // block being filled; nil before the shard's first run
 }
 
 // slabArena carves one replay's queue blocks out of shared slabs: the
 // topology's spare slabs first, then new ones.
 type slabArena struct {
-	free   []int32    // uncarved rest of the current slab
-	spare  [][]int32  // whole slabs not carved yet
-	used   [][]int32  // whole slabs this replay carves
+	free   []uint32   // uncarved rest of the current slab
+	spare  [][]uint32 // whole slabs not carved yet
+	used   [][]uint32 // whole slabs this replay carves
 	queues []rowQueue // the shard queues the blocks are carved for
 }
 
-// block returns an empty block with room for queueBlockRows rows.
-func (a *slabArena) block() []int32 {
+// block returns an empty block with room for queueBlockRows entries.
+func (a *slabArena) block() []uint32 {
 	if len(a.free) == 0 {
 		if n := len(a.spare); n > 0 {
 			a.free, a.spare = a.spare[n-1], a.spare[:n-1]
 		} else {
-			a.free = make([]int32, queueSlabRows)
+			a.free = make([]uint32, queueSlabRows)
 		}
 		a.used = append(a.used, a.free)
 	}
@@ -380,9 +419,11 @@ func (t *Topology) putSlabs(a *slabArena) {
 }
 
 // demux shards the record stream by (channel, rank, bank) into per-shard
-// row queues, fingerprinting the decoded records as it goes. The source's
-// mapping must equal the topology's — a trace recorded under one geometry
-// must not silently replay under another.
+// queues of run entries, fingerprinting the decoded records as it goes. A
+// record identical to the one before it routes to the same shard and row,
+// so it only lengthens the open entry and is not routed again. The
+// source's mapping must equal the topology's — a trace recorded under one
+// geometry must not silently replay under another.
 func (t *Topology) demux(src trace.Source, sink recordSink, arena *slabArena) (queues []rowQueue, records uint64, crc uint32, err error) {
 	if sm := src.Mapping(); sm != t.cfg.Mapping {
 		return nil, 0, 0, fmt.Errorf("system: trace mapping %s differs from topology mapping %s",
@@ -390,24 +431,17 @@ func (t *Topology) demux(src trace.Source, sink recordSink, arena *slabArena) (q
 	}
 	queues = make([]rowQueue, t.Shards())
 	arena.queues = queues
+	w := queueWriter{queues: queues, arena: arena, route: t.route, rowBits: uint(t.cfg.Mapping.RowBits) & 31}
 	var (
 		batch [demuxBatch]uint64
-		le    [demuxBatch * 8]byte
+		ends  [demuxBatch]int32
 	)
 	for {
 		n, rerr := src.ReadBatch(batch[:])
-		for i, addr := range batch[:n] {
-			channel, rank, bank, row := t.compiled.Route(addr)
-			q := &queues[(channel*t.ranks+rank)*t.banks+bank]
-			if len(q.tail) == cap(q.tail) {
-				q.next(arena)
-			}
-			q.tail = append(q.tail, int32(row))
-			binary.LittleEndian.PutUint64(le[i*8:], addr)
-		}
-		// One CRC pass per batch: the fingerprint is over the little-endian
-		// record bytes, identical to a per-record update but ~8x cheaper.
-		crc = crc32.Update(crc, castagnoli, le[:n*8])
+		// The fingerprint reads the records before collapseRuns folds them.
+		crc = recordCRC(crc, batch[:n])
+		runs := collapseRuns(batch[:n], ends[:n])
+		w.push(batch[:runs], ends[:runs])
 		records += uint64(n)
 		if sink != nil && n > 0 {
 			sink.AddRecords(int64(n))
@@ -428,8 +462,100 @@ func (t *Topology) demux(src trace.Source, sink recordSink, arena *slabArena) (q
 	}
 }
 
+// queueWriter appends runs of records to their shard queues as entries. It
+// keeps the entry the last run went into open across batches, so a run a
+// batch boundary cuts stays one run.
+type queueWriter struct {
+	queues  []rowQueue
+	arena   *slabArena
+	route   router
+	rowBits uint
+	prev    uint64  // the record of the last run
+	open    *uint32 // the entry that run ends in; nil before the first run
+}
+
+// push appends the runs collapseRuns made of a batch: run r is ends[r]
+// copies of runs[r] less those of the runs before it. A run longer than an
+// entry can count goes on in the next entry.
+func (w *queueWriter) push(runs []uint64, ends []int32) {
+	queues, arena, route, rowBits := w.queues, w.arena, w.route, w.rowBits
+	maxRun := 1 << (32 - rowBits) // the records one entry can count
+	start, first := 0, 0
+	if len(runs) > 0 && w.open != nil && runs[0] == w.prev {
+		// The batch opens with the run the last batch closed with:
+		// lengthen its entry as far as the run field counts.
+		add := min(int(ends[0]), maxRun-int(*w.open>>rowBits)-1)
+		*w.open += uint32(add) << rowBits
+		start = add
+		if add == int(ends[0]) {
+			first = 1
+		}
+	}
+	open := w.open
+	for r := first; r < len(runs); r++ {
+		run := int(ends[r]) - start
+		start = int(ends[r])
+		shard, row := route.route(runs[r])
+		q := &queues[shard]
+		for {
+			k := min(run, maxRun)
+			if len(q.tail) == cap(q.tail) {
+				q.next(arena)
+			}
+			q.tail = append(q.tail, row|uint32(k-1)<<rowBits)
+			if run -= k; run == 0 {
+				break
+			}
+		}
+		open = &q.tail[len(q.tail)-1]
+	}
+	if len(runs) > 0 {
+		w.prev, w.open = runs[len(runs)-1], open
+	}
+}
+
+// collapseRuns overwrites recs[:runs] with the record of each run of
+// identical consecutive records in recs and ends[:runs] with the index one
+// past the run's last record, and returns runs. About half the records of
+// a replay repeat the one before them, in no order a branch predictor
+// learns, so the run test is a conditional increment, not a branch.
+func collapseRuns(recs []uint64, ends []int32) int {
+	if len(recs) == 0 {
+		return 0
+	}
+	j, prev := 0, recs[0]
+	for i, addr := range recs {
+		if addr != prev {
+			j++
+		}
+		recs[j] = addr
+		ends[j] = int32(i + 1)
+		prev = addr
+	}
+	return j + 1
+}
+
 // castagnoli is the CRC-32C table of the replay fingerprint.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// recordCRC folds recs into the replay fingerprint, CRC-32C over their
+// little-endian bytes: one pass over the batch's own memory where the host
+// lays the records out that way, a copy through encoding/binary elsewhere.
+func recordCRC(crc uint32, recs []uint64) uint32 {
+	if b, ok := trace.RecordBytes(recs); ok {
+		return crc32.Update(crc, castagnoli, b)
+	}
+	var le [512 * trace.RecordSize]byte
+	for len(recs) > 0 {
+		k := min(len(recs), len(le)/trace.RecordSize)
+		for i, addr := range recs[:k] {
+			binary.LittleEndian.PutUint64(le[i*trace.RecordSize:], addr)
+		}
+		crc = crc32.Update(crc, castagnoli, le[:k*trace.RecordSize])
+		recs = recs[k:]
+	}
+	return crc
+}
 
 // ReplayFingerprint drains src and returns its record count and the CRC-32C
 // of its little-endian record bytes: the fingerprint demux computes, so
@@ -437,16 +563,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // records derives, known without replaying them. The daemon files a
 // trace-file replay job under it before the job runs.
 func ReplayFingerprint(src trace.Source) (records uint64, crc uint32, err error) {
-	var (
-		batch [demuxBatch]uint64
-		le    [demuxBatch * 8]byte
-	)
+	var batch [demuxBatch]uint64
 	for {
 		n, rerr := src.ReadBatch(batch[:])
-		for i, addr := range batch[:n] {
-			binary.LittleEndian.PutUint64(le[i*8:], addr)
-		}
-		crc = crc32.Update(crc, castagnoli, le[:n*8])
+		crc = recordCRC(crc, batch[:n])
 		records += uint64(n)
 		if rerr == io.EOF {
 			return records, crc, nil
@@ -458,21 +578,66 @@ func ReplayFingerprint(src trace.Source) (records uint64, crc uint32, err error)
 }
 
 // shardScratch is one worker's reusable replay state: the DRAM bank every
-// shard it runs resets first, and the block a scrambled shard's rows are
-// translated into. Both live and die with the worker's ReplayCampaign.
+// shard it runs resets first, and the row block its queue entries expand
+// into. Both live and die with the worker's ReplayCampaign.
 type shardScratch struct {
 	bank *dram.Bank
-	rows []int32 // queueBlockRows long once the worker ran a scrambled shard
+	rows []int32 // queueBlockRows+spill long
 }
 
-// replayShard replays one bank's row queue from scratch: tracker, stream,
+// spill is how many copies of its row expandQueue writes for an entry at a
+// time, whatever the entry's run: a store of fixed length costs less than a
+// loop whose exit depends on the run, and most runs fit in one. The store
+// is one 8-wide assignment, so spill is 8.
+const spill = 8
+
+// expandQueue hands a shard queue's rows to activate in blocks of
+// len(buf)-spill rows, every block full but the last: each entry's row
+// repeated for its run. The spill slots past the block take the copies a
+// write makes beyond it. With scr non-nil an entry's row is scrambled once
+// for the whole run.
+func expandQueue(blocks [][]uint32, rowBits int, scr *addrmap.RowScrambler, buf []int32, activate func(rows []int32)) {
+	shift := uint(rowBits) & 31
+	rowMask := uint32(1)<<shift - 1
+	size := len(buf) - spill
+	n := 0
+	for _, entries := range blocks {
+		for _, e := range entries {
+			row := int32(e & rowMask)
+			if scr != nil {
+				row = int32(scr.Scramble(int(row)))
+			}
+			for run := int(e>>shift) + 1; ; {
+				w := buf[n : n+spill : n+spill]
+				w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = row, row, row, row, row, row, row, row
+				k := min(run, spill)
+				for n += k; n >= size; {
+					activate(buf[:size])
+					// The rows written past the block are this run's:
+					// they start the next block.
+					n = copy(buf, buf[size:n])
+				}
+				if run -= k; run == 0 {
+					break
+				}
+			}
+		}
+	}
+	if n > 0 {
+		activate(buf[:n])
+	}
+}
+
+// replayShard replays one bank's queue from scratch: tracker, stream,
 // controller and scrambler are built from index-derived seeds inside the
 // shard, and the calling worker's scratch bank is reset first, so the
 // result depends only on (config, shard, queue) — the property that makes
 // replay bit-identical at any worker count, across retries and across
-// resumed campaigns. Each queue block goes to the controller in one
-// ActivateRows call. selfCheck arms the controller's invariant guards.
-func (t *Topology) replayShard(shard int, blocks [][]int32, sc *shardScratch, selfCheck bool) ShardResult {
+// resumed campaigns. The queue's entries expand into the worker's row
+// block, and each full block goes to the controller in one ActivateRows
+// call — the blocks a queue of one row per record would give it.
+// selfCheck arms the controller's invariant guards.
+func (t *Topology) replayShard(shard int, blocks [][]uint32, sc *shardScratch, selfCheck bool) ShardResult {
 	channel, rank, bank := t.shardCoord(shard)
 	dbank := sc.bank
 	dbank.Reset()
@@ -483,20 +648,11 @@ func (t *Topology) replayShard(shard int, blocks [][]int32, sc *shardScratch, se
 	var scr *addrmap.RowScrambler
 	if t.cfg.ScrambleSeed != 0 {
 		scr = addrmap.NewRowScrambler(t.params.RowsPerBank, rng.DeriveSeed(t.cfg.ScrambleSeed, uint64(shard)))
-		if sc.rows == nil {
-			sc.rows = make([]int32, queueBlockRows)
-		}
 	}
-	for _, rows := range blocks {
-		if scr != nil {
-			internal := sc.rows[:len(rows)]
-			for i, row := range rows {
-				internal[i] = int32(scr.Scramble(int(row)))
-			}
-			rows = internal
-		}
-		ctrl.ActivateRows(rows)
+	if sc.rows == nil {
+		sc.rows = make([]int32, queueBlockRows+spill)
 	}
+	expandQueue(blocks, t.params.RowBits, scr, sc.rows, ctrl.ActivateRows)
 
 	stats := ctrl.Stats()
 	res := ShardResult{
@@ -567,7 +723,7 @@ func (t *Topology) ReplayCampaign(ctx context.Context, src trace.Source, opts Re
 	selfCheck := t.cfg.SelfCheck || opts.SelfCheck
 	ropts := opts.Runner()
 	// One scratch per worker index, its bank reset at each shard's start:
-	// the bank's row arrays and the scrambled-row block are the only shard
+	// the bank's row arrays and the expanded row block are the only shard
 	// state that is scratch, not built from the shard index.
 	scratch := make([]shardScratch, ropts.PoolSize(t.Shards()))
 	shards, err := trialrunner.MapCheckpointedWorker(ctx, t.Shards(), func(worker, i int) ShardResult {

@@ -50,6 +50,12 @@ func serverSource(n int) *workload.AddrSource {
 	return workload.NewAddrSource(spec, serverMapping(), n, 7)
 }
 
+// shardIndex flattens a coordinate to its shard: channel-major, then rank,
+// then bank — the numbering router.route and shardCoord must agree with.
+func (t *Topology) shardIndex(c addrmap.Coord) int {
+	return (c.Channel*t.ranks+c.Rank)*t.banks + c.Bank
+}
+
 func TestTopologyGeometry(t *testing.T) {
 	top, err := NewTopology(serverConfig(t))
 	if err != nil {
@@ -699,13 +705,30 @@ func replayAllocs(t *testing.T, top *Topology, src trace.Source) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// queueEntries counts the shard-queue entries demux makes of records under
+// a rowBits-bit row field: one per run of identical consecutive records,
+// and one more for each time a run fills the 32-rowBits-bit run field.
+func queueEntries(records []uint64, rowBits int) uint64 {
+	maxRun := 1 << (32 - rowBits)
+	var n uint64
+	for i := 0; i < len(records); {
+		j := i
+		for j < len(records) && records[j] == records[i] {
+			j++
+		}
+		n += uint64((j - i + maxRun - 1) / maxRun)
+		i = j
+	}
+	return n
+}
+
 // TestReplayAllocGate pins the replay data path's allocations at one
-// worker. Shard queues are block chains, so replaying 3N more records costs
-// their 4 bytes each, plus one slab and one partly used block per shard —
-// never a copy of a growing queue. A topology keeps its slabs from its
-// second replay on, and a third replay carves them again. Bank row arrays
-// are scratch of the worker, so a many-shard replay allocates them once,
-// not once per shard.
+// worker. Shard queues are block chains of run entries, so replaying more
+// records costs 4 bytes per added entry, plus one slab and one partly used
+// block per shard — never a copy of a growing queue, and nothing per
+// repeated record. A topology keeps its slabs from its second replay on,
+// and a third replay carves them again. Bank row arrays are scratch of the
+// worker, so a many-shard replay allocates them once, not once per shard.
 func TestReplayAllocGate(t *testing.T) {
 	const n = 1 << 18
 	cfg := serverConfig(t)
@@ -713,22 +736,27 @@ func TestReplayAllocGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	smallEntries := queueEntries(records[:n], cfg.Mapping.RowBits)
+	entries := queueEntries(records, cfg.Mapping.RowBits)
+	if entries >= uint64(len(records)) {
+		t.Fatalf("%d records make %d queue entries: the stream has no runs to share an entry", len(records), entries)
+	}
 	small := replayAllocs(t, mustTopology(t, cfg), trace.NewSliceSource(cfg.Mapping, records[:n]))
 	top := mustTopology(t, cfg)
 	large := replayAllocs(t, top, trace.NewSliceSource(cfg.Mapping, records))
-	limit := uint64(4*3*n + 4*queueSlabRows + 4*queueBlockRows*top.Shards())
+	limit := 4*(entries-smallEntries) + 4*queueSlabRows + 4*queueBlockRows*uint64(top.Shards())
 	if large > small && large-small > limit {
-		t.Errorf("replaying %d records allocates %d B more than %d records, want <= %d (4 B per added record + one slab + one block per shard)",
-			4*n, large-small, n, limit)
+		t.Errorf("replaying %d records (%d queue entries) allocates %d B more than %d records (%d entries), want <= %d (4 B per added entry + one slab + one block per shard)",
+			4*n, entries, large-small, n, smallEntries, limit)
 	}
 	if len(top.spare) != 0 {
 		t.Errorf("the topology kept %d slabs after its first replay, want none", len(top.spare))
 	}
 	replayAllocs(t, top, trace.NewSliceSource(cfg.Mapping, records))
 	again := replayAllocs(t, top, trace.NewSliceSource(cfg.Mapping, records))
-	if again+4*4*n > large {
-		t.Errorf("a third replay of %d records on the same topology allocates %d B, want <= %d (the first replay's %d B less their 4 B per record of queue rows)",
-			4*n, again, large-4*4*n, large)
+	if again+4*entries > large {
+		t.Errorf("a third replay of %d records on the same topology allocates %d B, want <= %d (the first replay's %d B less 4 B for each of its %d queue entries)",
+			4*n, again, large-4*entries, large, entries)
 	}
 
 	// 32 shards of 16K rows each: a fresh bank per shard would allocate

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"pride/internal/addrmap"
 )
@@ -44,23 +45,41 @@ const RecordSize = 8
 
 var errEOF = io.EOF
 
-// Reader streams records from a binary ACT trace. It buffers internally
-// (one fixed buffer allocated at construction) and decodes with zero
-// allocations per record; feed it batches via ReadBatch and reuse the batch
-// slice across calls. Reader implements Source.
+// littleEndian reports whether the host lays a uint64 out as its
+// little-endian encoding, the record layout of the binary format.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// RecordBytes returns the binary encoding of recs — 8 little-endian bytes
+// per record, in order — as a view of recs' own memory, and true. Reading
+// the view reads the records, and writing it writes them. On a big-endian
+// host the memory is not that encoding: RecordBytes returns nil, false,
+// and the caller encodes through encoding/binary instead.
+func RecordBytes(recs []uint64) ([]byte, bool) {
+	if !littleEndian {
+		return nil, false
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(recs))), len(recs)*RecordSize), true
+}
+
+// Reader streams records from a binary ACT trace. It reads whole records
+// straight into the caller's batch and decodes with zero allocations; feed
+// it batches via ReadBatch and reuse the batch slice across calls. Reader
+// implements Source.
 type Reader struct {
 	r        io.Reader
 	compiled addrmap.Compiled
 	count    uint64
 	read     uint64
-	buf      []byte
-	start    int
-	end      int
-	done     bool // trailing-data check performed
+	// buf stages the header, the trailing-data probe and, on a big-endian
+	// host, the record bytes.
+	buf  []byte
+	err  error // the first decode error; every later ReadBatch returns it
+	done bool  // trailing-data check performed
 }
 
-// readerBufSize is the Reader's internal buffer: large enough that the
-// underlying reads amortize to nothing, small enough to stay cache-friendly.
+// readerBufSize is the Writer's buffer, and the Reader's on a big-endian
+// host: large enough that the underlying reads and writes amortize to
+// nothing, small enough to stay cache-friendly.
 const readerBufSize = 64 * 1024
 
 // NewReader reads and validates the binary header from r and returns a
@@ -68,7 +87,11 @@ const readerBufSize = 64 * 1024
 // unsupported version, nonzero reserved bytes or flags, and a mapping that
 // does not Validate.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{buf: make([]byte, readerBufSize)}
+	size := HeaderSize
+	if !littleEndian {
+		size = readerBufSize
+	}
+	tr := &Reader{buf: make([]byte, size)}
 	if err := tr.Reset(r); err != nil {
 		return nil, err
 	}
@@ -82,8 +105,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // until a subsequent successful Reset.
 func (tr *Reader) Reset(r io.Reader) error {
 	*tr = Reader{buf: tr.buf}
-	// The record buffer is empty here, so its first bytes can stage the
-	// header without an extra (escaping) scratch array.
 	hdr := tr.buf[:HeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return fmt.Errorf("trace: reading header: %v", err)
@@ -139,78 +160,96 @@ func (tr *Reader) Count() uint64 { return tr.count }
 // returns how many it wrote. At the end of the stream it verifies that
 // exactly the declared count was present — a torn tail (fewer bytes than
 // declared) and trailing data (more) are both errors — and returns io.EOF.
+// After an error every later call returns the same error.
 func (tr *Reader) ReadBatch(dst []uint64) (int, error) {
+	if tr.err != nil {
+		return 0, tr.err
+	}
 	if tr.read == tr.count {
 		if err := tr.checkTrailing(); err != nil {
+			tr.err = err
 			return 0, err
 		}
 		return 0, io.EOF
 	}
+	if left := tr.count - tr.read; uint64(len(dst)) > left {
+		dst = dst[:left]
+	}
 	n := 0
-	for n < len(dst) && tr.read < tr.count {
-		if tr.end-tr.start < RecordSize {
-			if err := tr.fill(); err != nil {
-				return n, err
-			}
+	for n < len(dst) {
+		k, err := tr.readRecords(dst[n:])
+		// The records that arrived whole are checked before a read error
+		// is reported, so a bad record ahead of a torn tail is named first.
+		if i := outOfRange(&tr.compiled, dst[n:n+k]); i >= 0 {
+			tr.read += uint64(i)
+			tr.err = fmt.Errorf("trace: record %d (byte offset %d): address %#x has bits outside the %d-bit mapping",
+				tr.read, tr.offset(), dst[n+i], tr.compiled.AddrBits())
+			return n + i, tr.err
 		}
-		// Decode every whole record the buffer holds in one tight loop,
-		// then advance the stream position once.
-		k := (tr.end - tr.start) / RecordSize
-		if k > len(dst)-n {
-			k = len(dst) - n
-		}
-		if left := tr.count - tr.read; uint64(k) > left {
-			k = int(left)
-		}
-		out := dst[n : n+k]
-		recs := tr.buf[tr.start : tr.start+k*RecordSize]
-		for i := range out {
-			addr := binary.LittleEndian.Uint64(recs[i*RecordSize:])
-			if !tr.compiled.InRange(addr) {
-				tr.start += i * RecordSize
-				tr.read += uint64(i)
-				return n + i, fmt.Errorf("trace: record %d (byte offset %d): address %#x has bits outside the %d-bit mapping",
-					tr.read, tr.offset(), addr, tr.compiled.AddrBits())
-			}
-			out[i] = addr
-		}
-		tr.start += k * RecordSize
 		tr.read += uint64(k)
 		n += k
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			tr.err = fmt.Errorf("trace: torn tail: header declares %d records, stream ends after %d (byte offset %d)",
+				tr.count, tr.read, tr.offset())
+		case err != nil:
+			tr.err = fmt.Errorf("trace: reading record %d (byte offset %d): %v", tr.read, tr.offset(), err)
+		}
+		if tr.err != nil {
+			return n, tr.err
+		}
 	}
 	return n, nil
 }
 
-// fill compacts the buffer and reads until at least one whole record is
-// available. EOF before the declared count is a torn tail.
-func (tr *Reader) fill() error {
-	copy(tr.buf, tr.buf[tr.start:tr.end])
-	tr.end -= tr.start
-	tr.start = 0
-	for tr.end < RecordSize {
-		m, err := tr.r.Read(tr.buf[tr.end:])
-		tr.end += m
-		if err != nil {
-			if err == io.EOF {
-				return fmt.Errorf("trace: torn tail: header declares %d records, stream ends after %d (byte offset %d)",
-					tr.count, tr.read, tr.offset())
-			}
-			return fmt.Errorf("trace: reading record %d (byte offset %d): %v", tr.read, tr.offset(), err)
-		}
+// readRecords reads the next len(dst) records into dst and returns how
+// many it wrote: all of them, or on a read error the ones that arrived
+// whole. On a little-endian host the bytes land in dst itself; on a
+// big-endian host they are decoded from buf, at most a buffer per call.
+func (tr *Reader) readRecords(dst []uint64) (int, error) {
+	if b, ok := RecordBytes(dst); ok {
+		m, err := io.ReadFull(tr.r, b)
+		return m / RecordSize, err
 	}
-	return nil
+	if room := len(tr.buf) / RecordSize; len(dst) > room {
+		dst = dst[:room]
+	}
+	b := tr.buf[:len(dst)*RecordSize]
+	m, err := io.ReadFull(tr.r, b)
+	k := m / RecordSize
+	for i := range dst[:k] {
+		dst[i] = binary.LittleEndian.Uint64(b[i*RecordSize:])
+	}
+	return k, err
 }
 
-// checkTrailing verifies nothing follows the declared records.
+// outOfRange returns the index of the first record with bits outside the
+// mapping, or -1 when there is none. One OR over the batch clears a whole
+// batch at once; only a batch that fails it is searched.
+func outOfRange(m *addrmap.Compiled, recs []uint64) int {
+	var all uint64
+	for _, addr := range recs {
+		all |= addr
+	}
+	if m.InRange(all) {
+		return -1
+	}
+	for i, addr := range recs {
+		if !m.InRange(addr) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkTrailing verifies nothing follows the declared records. The Reader
+// never reads past the record it needs, so one more byte from the stream
+// tells whether anything does.
 func (tr *Reader) checkTrailing() error {
 	if tr.done {
 		return nil
 	}
 	tr.done = true
-	if tr.end > tr.start {
-		return fmt.Errorf("trace: %d trailing bytes after %d declared records (byte offset %d)",
-			tr.end-tr.start, tr.count, tr.offset())
-	}
 	m, err := tr.r.Read(tr.buf[:1])
 	if m > 0 {
 		return fmt.Errorf("trace: trailing data after %d declared records (byte offset %d)", tr.count, tr.offset())
@@ -263,12 +302,35 @@ func (tw *Writer) WriteBatch(addrs []uint64) error {
 	if tw.written+uint64(len(addrs)) > tw.count {
 		return fmt.Errorf("trace: writing past the declared count of %d records", tw.count)
 	}
+	bad := outOfRange(&tw.m, addrs)
+	good := addrs
+	if bad >= 0 {
+		good = addrs[:bad]
+	}
+	if err := tw.write(good); err != nil {
+		return err
+	}
+	if bad >= 0 {
+		return fmt.Errorf("trace: record %d: address %#x has bits outside the %d-bit mapping",
+			tw.written, addrs[bad], tw.m.AddrBits())
+	}
+	return nil
+}
+
+// write appends records already checked against the mapping: in one write
+// of their own memory on a little-endian host, one encoded record at a
+// time elsewhere.
+func (tw *Writer) write(addrs []uint64) error {
+	if b, ok := RecordBytes(addrs); ok {
+		n, err := tw.w.Write(b)
+		tw.written += uint64(n / RecordSize)
+		if err != nil {
+			return fmt.Errorf("trace: writing record %d: %v", tw.written, err)
+		}
+		return nil
+	}
 	var rec [RecordSize]byte
 	for _, addr := range addrs {
-		if !tw.m.InRange(addr) {
-			return fmt.Errorf("trace: record %d: address %#x has bits outside the %d-bit mapping",
-				tw.written, addr, tw.m.AddrBits())
-		}
 		binary.LittleEndian.PutUint64(rec[:], addr)
 		if _, err := tw.w.Write(rec[:]); err != nil {
 			return fmt.Errorf("trace: writing record %d: %v", tw.written, err)

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"pride/internal/addrmap"
 	"pride/internal/rng"
@@ -443,5 +445,143 @@ func TestReaderErrorsCarryByteOffset(t *testing.T) {
 	_, err = Drain(tr, nil)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("byte offset %d", endOff)) {
 		t.Errorf("trailing-data error %q does not carry byte offset %d", err, endOff)
+	}
+}
+
+// readOutcome is what draining a binary trace yields: the mapping, the
+// records, and the error text of the header or of the first failing batch.
+type readOutcome struct {
+	mapping addrmap.Mapping
+	records []uint64
+	err     string
+}
+
+func readThrough(r io.Reader) readOutcome {
+	tr, err := NewReader(r)
+	if err != nil {
+		return readOutcome{err: err.Error()}
+	}
+	out := readOutcome{mapping: tr.Mapping()}
+	batch := make([]uint64, 4096)
+	for {
+		n, err := tr.ReadBatch(batch)
+		out.records = append(out.records, batch[:n]...)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			out.err = err.Error()
+			// The error sticks: the reader is not resumed past it.
+			if n2, err2 := tr.ReadBatch(batch); n2 != 0 || err2 == nil || err2.Error() != out.err {
+				out.err += fmt.Sprintf(" | then (%d, %v)", n2, err2)
+			}
+			return out
+		}
+	}
+}
+
+// TestReadBatchIndependentOfReadChunks decodes the same bytes through
+// readers that hand them over one byte at a time, in halves, or with the
+// last data and io.EOF together, and checks that the records and the
+// error text equal a plain bytes.Reader's: valid traces across a batch
+// boundary, a stream that ends inside a record and inside the header,
+// bytes after the last record, and a record outside the mapping.
+func TestReadBatchIndependentOfReadChunks(t *testing.T) {
+	m := testMapping()
+	encode := func(addrs []uint64) []byte {
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, m, addrs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	long := encode(randomAddrs(m, 4096+37, 17))
+	short := encode(randomAddrs(m, 9, 19))
+	badRec := append([]byte(nil), long...)
+	binary.LittleEndian.PutUint64(badRec[HeaderSize+4100*RecordSize:], 1<<40)
+	inputs := map[string][]byte{
+		"empty trace":          encode(nil),
+		"short trace":          short,
+		"two batches":          long,
+		"ends inside a record": long[:len(long)-5],
+		"ends after a record":  long[:len(long)-RecordSize],
+		"ends inside header":   long[:HeaderSize-3],
+		"no input":             nil,
+		"trailing bytes":       append(append([]byte(nil), short...), 1, 2, 3),
+		"trailing byte, long":  append(append([]byte(nil), long...), 0xAA),
+		"record out of range":  badRec,
+	}
+	wrappers := map[string]func(io.Reader) io.Reader{
+		"OneByteReader": iotest.OneByteReader,
+		"HalfReader":    iotest.HalfReader,
+		"DataErrReader": iotest.DataErrReader,
+	}
+	for _, name := range []string{"empty trace", "short trace", "two batches"} {
+		if got := readThrough(bytes.NewReader(inputs[name])); got.err != "" {
+			t.Fatalf("%s: %s", name, got.err)
+		}
+	}
+	for name, data := range inputs {
+		want := readThrough(bytes.NewReader(data))
+		for wname, wrap := range wrappers {
+			got := readThrough(wrap(bytes.NewReader(data)))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s through %s: %d records, error %q; bytes.Reader: %d records, error %q",
+					name, wname, len(got.records), got.err, len(want.records), want.err)
+			}
+		}
+	}
+	// The expected texts, once, from the plain reader.
+	for name, want := range map[string]string{
+		"ends inside a record": fmt.Sprintf("trace: torn tail: header declares %d records, stream ends after %d (byte offset %d)", 4096+37, 4096+36, HeaderSize+(4096+36)*RecordSize),
+		"ends inside header":   "trace: reading header: unexpected EOF",
+		"trailing bytes":       fmt.Sprintf("trace: trailing data after 9 declared records (byte offset %d)", HeaderSize+9*RecordSize),
+		"record out of range":  fmt.Sprintf("trace: record 4100 (byte offset %d): address 0x10000000000 has bits outside the 24-bit mapping", HeaderSize+4100*RecordSize),
+	} {
+		if got := readThrough(bytes.NewReader(inputs[name])); got.err != want {
+			t.Errorf("%s: error %q, want %q", name, got.err, want)
+		}
+	}
+	if got := readThrough(bytes.NewReader(inputs["record out of range"])); len(got.records) != 4100 {
+		t.Errorf("record out of range: %d records before the error, want 4100", len(got.records))
+	}
+}
+
+// TestByteCopyPathsMatchRecordView runs the Reader and Writer through the
+// paths a big-endian host takes, which decode and encode each record
+// through encoding/binary instead of viewing the batch's memory, and checks
+// that they read and write the same bytes, records and errors.
+func TestByteCopyPathsMatchRecordView(t *testing.T) {
+	if !littleEndian {
+		t.Skip("the host takes the byte-copy paths already")
+	}
+	m := testMapping()
+	addrs := randomAddrs(m, 3*readerBufSize/RecordSize+5, 23)
+	var view bytes.Buffer
+	if err := WriteAll(&view, m, addrs); err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), view.Bytes()...)
+	binary.LittleEndian.PutUint64(bad[HeaderSize+9000*RecordSize:], 1<<40)
+	inputs := [][]byte{view.Bytes(), view.Bytes()[:view.Len()-3], bad, append(append([]byte(nil), view.Bytes()...), 7)}
+	want := make([]readOutcome, len(inputs))
+	for i, data := range inputs {
+		want[i] = readThrough(iotest.HalfReader(bytes.NewReader(data)))
+	}
+
+	littleEndian = false
+	defer func() { littleEndian = true }()
+	var copied bytes.Buffer
+	if err := WriteAll(&copied, m, addrs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(copied.Bytes(), view.Bytes()) {
+		t.Fatal("the byte-copy Writer encodes the trace differently")
+	}
+	for i, data := range inputs {
+		if got := readThrough(iotest.HalfReader(bytes.NewReader(data))); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("input %d: byte-copy Reader gives %d records, error %q; record view: %d records, error %q",
+				i, len(got.records), got.err, len(want[i].records), want[i].err)
+		}
 	}
 }

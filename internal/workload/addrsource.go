@@ -20,6 +20,15 @@ import (
 // stream is deterministic in (spec, mapping, n, seed), so writing the
 // records to a trace file and replaying the file is bit-identical to
 // replaying the source directly.
+//
+// Every record is one ACT: closed-page semantics. A generated row hit is one
+// more ACT of the open row, so a replay counts it as an activation, and REF
+// and RFM cadences count it too. Fig 14's perfsim treats the same hit as a
+// row-buffer hit with no ACT, so for one stream a replay counts about
+// 1/(1-RowHitRate) times the ACTs perfsim does. The repeats come in runs of
+// identical consecutive records — about RowHitRate of the records repeat
+// the one before them — which the replay's shard queues store one entry
+// per run.
 type AddrSource struct {
 	compiled addrmap.Compiled
 	// hit is the spec's RowHitRate as a Bernoulli threshold, computed once.
